@@ -332,42 +332,39 @@ def _with_ensemble(table: ScoreTable, spec: str | None) -> ScoreTable:
     return table
 
 
-def cmd_evaluate(args) -> int:
+def _report(args, ensemble_spec: str | None):
+    """Load and check the score files, evaluate them and print the table.
+
+    Returns the report, the manifest config and the manifest inputs.
+    """
     table, records, conditions = _evaluation_inputs(args)
-    table = _with_ensemble(table, args.ensemble)
+    table = _with_ensemble(table, ensemble_spec)
     decisions = {m: {pid: ps.decision for pid, ps in table.column(m).items()}
                  for m in table.methods()}
     zs = {m: {pid: ps.z_score for pid, ps in table.column(m).items()}
           for m in table.methods()}
     report = evaluate_scores(records, decisions, zs, conditions)
+    print(report.format_table())
+    score_paths = _split_scores_args(args.scores)
+    config = {"scores": score_paths, "conditions": [c.label for c in conditions]}
+    return report, config, score_paths + [args.cnrec]
+
+
+def cmd_evaluate(args) -> int:
+    report, config, inputs = _report(args, args.ensemble)
+    config["ensemble"] = args.ensemble
     report.write_metrics_csv(args.out_metrics)
     report.write_correlations_csv(args.out_correlations)
-    print(report.format_table())
-    config = {
-        "scores": _split_scores_args(args.scores),
-        "conditions": [c.label for c in conditions],
-        "ensemble": args.ensemble,
-    }
-    inputs = _split_scores_args(args.scores) + [args.cnrec]
-    write_manifest(Path(args.out_metrics), "evaluate", config, inputs)
-    write_manifest(Path(args.out_correlations), "evaluate", config, inputs)
+    for out in (args.out_metrics, args.out_correlations):
+        write_manifest(Path(out), "evaluate", config, inputs)
     return 0
 
 
 def cmd_compare(args) -> int:
-    table, records, conditions = _evaluation_inputs(args)
-    decisions = {m: {pid: ps.decision for pid, ps in table.column(m).items()}
-                 for m in table.methods()}
-    zs = {m: {pid: ps.z_score for pid, ps in table.column(m).items()}
-          for m in table.methods()}
-    report = evaluate_scores(records, decisions, zs, conditions)
-    print(report.format_table())
+    report, config, inputs = _report(args, None)
     if args.out:
         report.write_metrics_csv(args.out)
-        write_manifest(Path(args.out), "compare", {
-            "scores": _split_scores_args(args.scores),
-            "conditions": [c.label for c in conditions],
-        }, _split_scores_args(args.scores) + [args.cnrec])
+        write_manifest(Path(args.out), "compare", config, inputs)
     return 0
 
 

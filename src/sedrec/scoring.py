@@ -1,11 +1,14 @@
 """Pairwise article distances: entity-set shortest distances over union
 subgraphs, cosine baselines, z-normalization, and score tables.
 
-Article distances are computed in two passes: a first pass over every
-evaluated node pair finds the corpus-wide maximum finite path cost (shared by
-all variants so their cross-run identities hold exactly), then a second pass
-normalizes raw costs onto [0, 1], substitutes the disconnection penalty for
-unreachable or unresolvable seeds, and aggregates per variant.
+Article distances are computed in two passes. Pass one calls
+``pair_matrices`` for every evaluated pair: raw seed-to-seed distances over
+the pair's union graph, in both directions, so the corpus-wide maximum finite
+path cost is shared by all variants and their cross-run identities hold
+exactly. Pass two calls ``aggregate`` per pair: it normalizes raw costs onto
+[0, 1], substitutes the disconnection penalty for unreachable or unresolvable
+seeds, and applies the ROW/SYM/AVG rule. ``sed_variant`` is the same two
+steps for a single pair.
 """
 
 from __future__ import annotations
@@ -129,60 +132,51 @@ def normalize_distance(raw: float, corpus_max_finite: float, penalty: float) -> 
     return raw / corpus_max_finite
 
 
-def _matrix_row_mean(mat, penalty, max_finite) -> float:
-    total = 0.0
-    for row in mat:
-        total += min(normalize_distance(d, max_finite, penalty) for d in row)
-    return total / len(mat)
+def pair_matrices(u: SubGraph, costs: EdgeCosts, s1: Sequence[str],
+                  s2: Sequence[str]) -> tuple[list[list[float]], list[list[float]]]:
+    """Raw forward (s1->s2) and backward (s2->s1) distance matrices."""
+    return distance_matrix(u, costs, s1, s2), distance_matrix(u, costs, s2, s1)
 
 
-def _matrix_all_mean(mat, penalty, max_finite) -> float:
+def aggregate(forward: list[list[float]], backward: list[list[float]],
+              cfg: ScoringConfig, max_finite: float) -> float:
+    """Article distance from a pair's raw matrices under the configured variant.
+
+    ROW is the mean over rows of the minimum normalized distance (backward
+    when reversed); SYM averages the forward and backward ROW values; AVG is
+    the mean normalized distance over every seed pair. Sums accumulate left
+    to right: ``sum()`` (compensated from Python 3.12) and numpy's pairwise
+    sum can move the last ulp and so the score CSV bytes.
+    """
+    def row_mean(mat) -> float:
+        total = 0.0
+        for row in mat:
+            total += min(normalize_distance(d, max_finite, cfg.penalty) for d in row)
+        return total / len(mat)
+
+    if cfg.variant is SedVariant.SYM:
+        return (row_mean(forward) + row_mean(backward)) / 2.0
+    mat = backward if cfg.reverse_direction else forward
+    if cfg.variant is SedVariant.ROW:
+        return row_mean(mat)
     total = 0.0
-    count = 0
     for row in mat:
         for d in row:
-            total += normalize_distance(d, max_finite, penalty)
-            count += 1
-    return total / count
-
-
-def _check_seeds(s1, s2) -> tuple[list[str], list[str]]:
-    s1, s2 = sorted(set(s1)), sorted(set(s2))
-    if not s1 or not s2:
-        raise ValueError("article seed sets must be non-empty")
-    return s1, s2
-
-
-def sed_directional(s1: Iterable[str], s2: Iterable[str], u: SubGraph,
-                    costs: EdgeCosts, penalty: float, max_finite: float) -> float:
-    """Average minimum row-wise normalized distance from seed set s1 to s2.
-
-    Seeds missing from the union graph contribute the penalty, so articles
-    with unresolvable entities are not spuriously close.
-    """
-    s1, s2 = _check_seeds(s1, s2)
-    mat = distance_matrix(u, costs, s1, s2)
-    return _matrix_row_mean(mat, penalty, max_finite)
+            total += normalize_distance(d, max_finite, cfg.penalty)
+    return total / (len(mat) * len(mat[0]))
 
 
 def sed_variant(s1: Iterable[str], s2: Iterable[str], u: SubGraph,
                 costs: EdgeCosts, cfg: ScoringConfig, max_finite: float) -> float:
-    """Article distance under the configured variant.
+    """Article distance of one seed-set pair under the configured variant.
 
-    ROW is the directional mean (s2->s1 when reversed); SYM averages both
-    directions; AVG is the mean normalized distance over every seed pair.
+    Seeds missing from the union graph contribute the penalty, so articles
+    with unresolvable entities are not spuriously close.
     """
-    s1, s2 = _check_seeds(s1, s2)
-    if cfg.reverse_direction:
-        s1, s2 = s2, s1
-    p, mx = cfg.penalty, max_finite
-    if cfg.variant is SedVariant.ROW:
-        return _matrix_row_mean(distance_matrix(u, costs, s1, s2), p, mx)
-    if cfg.variant is SedVariant.AVG:
-        return _matrix_all_mean(distance_matrix(u, costs, s1, s2), p, mx)
-    forward = _matrix_row_mean(distance_matrix(u, costs, s1, s2), p, mx)
-    backward = _matrix_row_mean(distance_matrix(u, costs, s2, s1), p, mx)
-    return (forward + backward) / 2.0
+    s1, s2 = sorted(set(s1)), sorted(set(s2))
+    if not s1 or not s2:
+        raise ValueError("article seed sets must be non-empty")
+    return aggregate(*pair_matrices(u, costs, s1, s2), cfg, max_finite)
 
 
 # -------------------------------------------------------------- baselines
@@ -366,25 +360,19 @@ def _pair_matrices(pair: Pair):
     ctx = _PAIR_CTX
     pid, a, b = pair
     u = union(ctx["subgraphs"][a], ctx["subgraphs"][b])
-    s1 = sorted(ctx["seeds"][a])
-    s2 = sorted(ctx["seeds"][b])
-    costs = ctx["costs"]
-    mat_f = distance_matrix(u, costs, s1, s2)
-    mat_b = distance_matrix(u, costs, s2, s1)
-    local_max = 0.0
-    for mat in (mat_f, mat_b):
-        for row in mat:
-            for d in row:
-                if math.isfinite(d) and d > local_max:
-                    local_max = d
-    return pid, mat_f, mat_b, local_max
+    return pid, *pair_matrices(u, ctx["costs"], sorted(ctx["seeds"][a]),
+                               sorted(ctx["seeds"][b]))
 
 
 def _run_pair_pass(pairs: list[Pair], jobs: int):
-    if jobs <= 1 or multiprocessing.get_start_method(allow_none=False) != "fork":
-        return [_pair_matrices(p) for p in pairs]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_pair_matrices, pairs, chunksize=64))
+    if jobs > 1:
+        start = multiprocessing.get_start_method(allow_none=False)
+        if start == "fork":
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                return list(pool.map(_pair_matrices, pairs, chunksize=64))
+        log.warning("jobs=%d needs the 'fork' start method, not %r; "
+                    "running the pair pass serially", jobs, start)
+    return [_pair_matrices(p) for p in pairs]
 
 
 def score_sed(kg: KnowledgeGraph, articles: Mapping[str, Article],
@@ -394,10 +382,10 @@ def score_sed(kg: KnowledgeGraph, articles: Mapping[str, Article],
               method: str = "sed") -> ScoreTable:
     """Score every article pair under the configured distance variant.
 
-    Pass one computes raw seed-to-seed distance matrices for each pair (in
-    both directions, so the normalization constant is variant-independent)
-    and the corpus-wide maximum finite cost; pass two aggregates. Results do
-    not depend on ``jobs``.
+    Pass one runs ``pair_matrices`` for each pair (both directions, so the
+    normalization constant is variant-independent) and takes the corpus-wide
+    maximum finite cost; pass two is one ``aggregate`` call per pair. Results
+    do not depend on ``jobs``.
     """
     global _PAIR_CTX
     if len(pairs) < 2:
@@ -418,23 +406,12 @@ def score_sed(kg: KnowledgeGraph, articles: Mapping[str, Article],
     finally:
         _PAIR_CTX = None
 
-    max_finite = max((r[3] for r in results), default=0.0)
+    max_finite = max((d for _, mat_f, mat_b in results for mat in (mat_f, mat_b)
+                      for row in mat for d in row if math.isfinite(d)), default=0.0)
     if max_finite <= 0.0:
         max_finite = 1.0
 
-    p = cfg.penalty
-    raw: dict[str, float] = {}
-    for pid, mat_f, mat_b, _ in results:
-        if cfg.variant is SedVariant.SYM:
-            value = (_matrix_row_mean(mat_f, p, max_finite)
-                     + _matrix_row_mean(mat_b, p, max_finite)) / 2.0
-        else:
-            mat = mat_b if cfg.reverse_direction else mat_f
-            if cfg.variant is SedVariant.ROW:
-                value = _matrix_row_mean(mat, p, max_finite)
-            else:
-                value = _matrix_all_mean(mat, p, max_finite)
-        raw[pid] = value
+    raw = {pid: aggregate(mat_f, mat_b, cfg, max_finite) for pid, mat_f, mat_b in results}
     return table_from_raw(method, raw, max_finite=max_finite)
 
 

@@ -123,19 +123,3 @@ def union(s1: SubGraph, s2: SubGraph) -> SubGraph:
         missing_seeds=s1.missing_seeds | s2.missing_seeds,
     )
 
-
-def dump_edges(sg: SubGraph, dest) -> None:
-    """Write the subgraph as ``node<TAB>node<TAB>predicates`` lines."""
-    g = sg.parent
-    rows = []
-    for e in sg.edges:
-        u, v = g.edge_endpoints[e]
-        rows.append((g.ids[u], g.ids[v], ",".join(g.edge_predicates[e])))
-    rows.sort()
-    if hasattr(dest, "write"):
-        for row in rows:
-            dest.write("\t".join(row) + "\n")
-    else:
-        with open(dest, "w", encoding="utf-8") as fh:
-            for row in rows:
-                fh.write("\t".join(row) + "\n")

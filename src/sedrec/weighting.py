@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from enum import Enum
 
 from .kg import KnowledgeGraph
@@ -25,14 +24,6 @@ class WeightingScheme(Enum):
     JOINT_IC = "jointic"
 
 
-@dataclass(frozen=True)
-class EdgeCost:
-    """Traversal cost of one edge in both directions."""
-
-    cost_forward: float
-    cost_backward: float
-
-
 def rws_cost(g: KnowledgeGraph, source: int, target: int) -> float:
     """Overlap cost for traversing the edge source->target.
 
@@ -45,8 +36,10 @@ def rws_cost(g: KnowledgeGraph, source: int, target: int) -> float:
             f"nodes {source} and {target} are not adjacent; "
             "edge costs are defined on edges only"
         )
-    ns = g.closed_neighborhood(source)
-    nt = g.closed_neighborhood(target)
+    return _overlap_cost(g.closed_neighborhood(source), g.closed_neighborhood(target))
+
+
+def _overlap_cost(ns: frozenset[int], nt: frozenset[int]) -> float:
     return 1.0 - len(ns & nt) / len(ns)
 
 
@@ -139,36 +132,29 @@ def joint_ic_costs(g: KnowledgeGraph) -> tuple[float, ...]:
     return tuple(1.0 - (ic - lo) / (hi - lo) for ic in ics)
 
 
-def joint_ic_cost(g: KnowledgeGraph, source: int, target: int) -> float:
-    """Joint-IC cost between two adjacent nodes."""
-    e = g.edge_between(source, target)
-    if e is None:
-        raise ValueError(f"nodes {source} and {target} are not adjacent")
-    return joint_ic_costs(g)[e]
-
-
 class EdgeCosts:
     """Direction-aware cost lookup for one graph under one scheme.
 
-    Overlap costs are computed lazily per queried edge direction and memoized
-    (only union-graph edges are ever relaxed); frequency and joint-IC schemes
-    precompute their whole-graph tables up front. Safe for concurrent reads;
-    racing memo inserts write identical values.
+    Two paths. The symmetric schemes (unweighted, AF, IAF, AF-IAF, JointIC)
+    build a whole-graph per-edge table up front from ``frequency_costs`` or
+    ``joint_ic_costs``. RWS is direction dependent: its overlap costs are
+    computed lazily per queried edge direction and memoized, since only
+    union-graph edges are ever relaxed. Safe for concurrent reads; racing
+    memo inserts write identical values.
     """
 
     def __init__(self, g: KnowledgeGraph, scheme: WeightingScheme):
         self.graph = g
         self.scheme = scheme
         self._memo: dict[tuple[int, int], float] = {}
-        self._edge_memo: dict[int, float] = {}
         self._nbhd: dict[int, frozenset[int]] = {}
-        self._pred_scores: dict[str, float] | None = None
-        self._per_edge: tuple[float, ...] | None = None
-        if scheme in (WeightingScheme.AF, WeightingScheme.IAF, WeightingScheme.AF_IAF):
-            self._pred_scores = frequency_scores(g, scheme)
+        self._table: tuple[float, ...] | None = None
+        if scheme is WeightingScheme.UNWEIGHTED:
+            self._table = (1.0,) * g.num_edges
         elif scheme is WeightingScheme.JOINT_IC:
-            # min-max bounds need every edge anyway, so keep the full table
-            self._per_edge = joint_ic_costs(g)
+            self._table = joint_ic_costs(g)
+        elif scheme is not WeightingScheme.RWS:
+            self._table = frequency_costs(g, scheme)
 
     def _closed(self, node: int) -> frozenset[int]:
         nb = self._nbhd.get(node)
@@ -179,29 +165,11 @@ class EdgeCosts:
 
     def cost(self, source: int, target: int, edge: int) -> float:
         """Cost of relaxing ``edge`` in the direction source->target."""
-        if self.scheme is WeightingScheme.UNWEIGHTED:
-            return 1.0
-        if self._per_edge is not None:
-            return self._per_edge[edge]
-        if self._pred_scores is not None:
-            c = self._edge_memo.get(edge)
-            if c is None:
-                scores = self._pred_scores
-                c = 1.0 - max(scores[p] for p in self.graph.edge_predicates[edge])
-                self._edge_memo[edge] = c
-            return c
+        if self._table is not None:
+            return self._table[edge]
         key = (source, target)
         c = self._memo.get(key)
         if c is None:
-            ns = self._closed(source)
-            nt = self._closed(target)
-            c = 1.0 - len(ns & nt) / len(ns)
+            c = _overlap_cost(self._closed(source), self._closed(target))
             self._memo[key] = c
         return c
-
-    def edge_cost(self, source: int, target: int) -> EdgeCost:
-        """Both directional costs of the edge between two adjacent nodes."""
-        e = self.graph.edge_between(source, target)
-        if e is None:
-            raise ValueError(f"nodes {source} and {target} are not adjacent")
-        return EdgeCost(self.cost(source, target, e), self.cost(target, source, e))

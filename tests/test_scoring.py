@@ -1,5 +1,6 @@
 import logging
 import math
+import multiprocessing
 import random
 
 import numpy as np
@@ -13,18 +14,18 @@ from sedrec.scoring import (
     ScoringConfig,
     SedVariant,
     baseline_distance,
+    compute_seed_sets,
     ensemble,
     import_embedding_scores,
     node_pair_distance,
     normalize_distance,
     score_sed,
     score_tfidf,
-    sed_directional,
     sed_variant,
     table_from_raw,
     znormalize,
 )
-from sedrec.subgraph import ExpansionConfig, SubGraph, expand
+from sedrec.subgraph import ExpansionConfig, SubGraph, expand, union
 from sedrec.weighting import EdgeCosts, WeightingScheme
 
 from helpers import graph_from_edges
@@ -138,28 +139,33 @@ def test_unweighted_distance_equals_bfs_hops():
 
 # ------------------------------------------------------------ sed variants
 
+def row_sed(s1, s2, sg, costs, penalty, max_finite):
+    cfg = ScoringConfig(variant=SedVariant.ROW, penalty=penalty)
+    return sed_variant(s1, s2, sg, costs, cfg, max_finite)
+
+
 def test_sed_identical_seed_sets_is_zero(chain):
     sg = expand(chain, {"a", "b"}, ExpansionConfig(1))
-    d = sed_directional({"a", "b"}, {"a", "b"}, sg, unit_costs(chain), 0.98, 4.0)
+    d = row_sed({"a", "b"}, {"a", "b"}, sg, unit_costs(chain), 0.98, 4.0)
     assert d == 0.0
 
 
 def test_sed_directional_normalizes_by_corpus_max(chain):
     sg = full_subgraph(chain)
-    d = sed_directional({"a"}, {"c"}, sg, unit_costs(chain), 0.98, 4.0)
+    d = row_sed({"a"}, {"c"}, sg, unit_costs(chain), 0.98, 4.0)
     assert d == pytest.approx(0.5)
 
 
 def test_sed_directional_penalty_for_disconnected():
     g = graph_from_edges([("a", "b"), ("z", "w")])
     sg = full_subgraph(g)
-    d = sed_directional({"a"}, {"z"}, sg, unit_costs(g), 0.98, 4.0)
+    d = row_sed({"a"}, {"z"}, sg, unit_costs(g), 0.98, 4.0)
     assert d == 0.98
 
 
 def test_sed_directional_missing_seed_contributes_penalty(chain):
     sg = full_subgraph(chain)
-    d = sed_directional({"a", "ghost"}, {"c"}, sg, unit_costs(chain), 0.9, 2.0)
+    d = row_sed({"a", "ghost"}, {"c"}, sg, unit_costs(chain), 0.9, 2.0)
     # row a: 2/2 = 1.0; row ghost: penalty 0.9
     assert d == pytest.approx((1.0 + 0.9) / 2)
 
@@ -167,7 +173,9 @@ def test_sed_directional_missing_seed_contributes_penalty(chain):
 def test_sed_directional_rejects_empty(chain):
     sg = full_subgraph(chain)
     with pytest.raises(ValueError):
-        sed_directional(set(), {"a"}, sg, unit_costs(chain), 0.98, 1.0)
+        row_sed(set(), {"a"}, sg, unit_costs(chain), 0.98, 1.0)
+    with pytest.raises(ValueError):
+        row_sed({"a"}, set(), sg, unit_costs(chain), 0.98, 1.0)
 
 
 def test_sed_variant_worked_example(chain):
@@ -423,6 +431,41 @@ def test_score_sed_jobs_do_not_change_results(mini_world):
         [(r.pair_id, r.raw_distance, r.z_score) for r in t2.rows]
 
 
+def test_score_sed_serial_fallback_is_logged(mini_world, monkeypatch, caplog):
+    g, articles, annotations, pairs = mini_world
+    cfg = ScoringConfig()
+    serial = score_sed(g, articles, pairs, annotations, cfg, jobs=1)
+    monkeypatch.setattr(multiprocessing, "get_start_method",
+                        lambda allow_none=False: "spawn")
+    with caplog.at_level(logging.WARNING, logger="sedrec.scoring"):
+        fallback = score_sed(g, articles, pairs, annotations, cfg, jobs=2)
+    assert any(r.levelno == logging.WARNING and "serially" in r.getMessage()
+               for r in caplog.records)
+    assert fallback.rows == serial.rows
+
+
+@pytest.mark.parametrize("scheme", [WeightingScheme.RWS, WeightingScheme.JOINT_IC])
+def test_score_sed_agrees_with_sed_variant(mini_world, scheme):
+    g, articles, annotations, pairs = mini_world
+    configs = [
+        ScoringConfig(variant=SedVariant.ROW, weighting=scheme),
+        ScoringConfig(variant=SedVariant.ROW, weighting=scheme, reverse_direction=True),
+        ScoringConfig(variant=SedVariant.SYM, weighting=scheme),
+        ScoringConfig(variant=SedVariant.AVG, weighting=scheme),
+        ScoringConfig(variant=SedVariant.AVG, weighting=scheme, reverse_direction=True),
+    ]
+    costs = EdgeCosts(g, scheme)
+    for cfg in configs:
+        table = score_sed(g, articles, pairs, annotations, cfg)
+        mx = table.stats["sed"].max_finite
+        seeds = compute_seed_sets(articles, annotations, g, cfg)
+        col = table.column("sed")
+        for pid, a, b in pairs:
+            u = union(expand(g, seeds[a], cfg.expansion), expand(g, seeds[b], cfg.expansion))
+            want = sed_variant(seeds[a], seeds[b], u, costs, cfg, max_finite=mx)
+            assert col[pid].raw_distance == want, (cfg, pid)
+
+
 def test_score_sed_row_directions_average_to_sym(mini_world):
     g, articles, annotations, pairs = mini_world
     fwd = score_sed(g, articles, pairs, annotations,
@@ -463,10 +506,10 @@ def test_scoring_rejects_single_pair(mini_world):
         score_tfidf(articles, pairs[:1])
 
 
-def test_frequency_scheme_costs_memoized_lazily(mini_world):
+def test_frequency_scheme_costs_are_symmetric(mini_world):
     g, articles, annotations, pairs = mini_world
     costs = EdgeCosts(g, WeightingScheme.AF)
     u, v = g.edge_endpoints[0]
     first = costs.cost(u, v, 0)
-    assert costs.cost(v, u, 0) == first  # symmetric, served from the memo
+    assert costs.cost(v, u, 0) == first  # one table entry per edge
     assert 0.0 <= first <= 1.0

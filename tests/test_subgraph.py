@@ -1,10 +1,8 @@
-import io
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sedrec.subgraph import ExpansionConfig, dump_edges, expand, union
+from sedrec.subgraph import ExpansionConfig, expand, union
 
 from helpers import graph_from_edges
 
@@ -100,14 +98,6 @@ def test_union_rejects_different_parents(chain):
     s2 = expand(other, {"a"}, ExpansionConfig(1))
     with pytest.raises(ValueError):
         union(s1, s2)
-
-
-def test_dump_edges_format(chain):
-    sg = expand(chain, {"b"}, ExpansionConfig(1))
-    buf = io.StringIO()
-    dump_edges(sg, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines == ["a\tb\trel", "b\tc\trel"]
 
 
 # ------------------------------------------------------------ properties

@@ -9,7 +9,6 @@ from sedrec.weighting import (
     WeightingScheme,
     frequency_costs,
     frequency_scores,
-    joint_ic_cost,
     joint_ic_costs,
     rws_cost,
 )
@@ -163,20 +162,14 @@ def test_joint_ic_degenerate_uniform_graph():
     assert joint_ic_costs(g) == (0.0, 0.0)
 
 
-def test_joint_ic_cost_requires_edge():
-    g = graph_from_edges([("a", "b"), ("b", "c")])
-    with pytest.raises(ValueError):
-        joint_ic_cost(g, g.node_index("a"), g.node_index("c"))
-    assert 0.0 <= joint_ic_cost(g, g.node_index("a"), g.node_index("b")) <= 1.0
-
-
 # ------------------------------------------------------------ EdgeCosts
 
 def test_unweighted_costs_are_exactly_one():
     g = graph_from_edges([("a", "b"), ("b", "c")])
     costs = EdgeCosts(g, WeightingScheme.UNWEIGHTED)
-    ec = costs.edge_cost(g.node_index("a"), g.node_index("b"))
-    assert ec.cost_forward == 1.0 and ec.cost_backward == 1.0
+    a, b = g.node_index("a"), g.node_index("b")
+    e = g.edge_between(a, b)
+    assert costs.cost(a, b, e) == 1.0 and costs.cost(b, a, e) == 1.0
 
 
 def test_edge_costs_memoized_rws_matches_direct():
@@ -186,16 +179,18 @@ def test_edge_costs_memoized_rws_matches_direct():
     e = g.edge_between(i, j)
     assert costs.cost(i, j, e) == rws_cost(g, i, j)
     assert costs.cost(i, j, e) == costs.cost(i, j, e)  # memo path
-    ec = costs.edge_cost(i, j)
-    assert ec.cost_forward == pytest.approx(0.25)
-    assert ec.cost_backward == 0.0
+    assert costs.cost(i, j, e) == pytest.approx(0.25)
+    assert costs.cost(j, i, e) == 0.0
 
 
 def test_edge_cost_pair_rejects_non_edges():
+    # a node pair without an edge has no edge index to pass to cost();
+    # rws_cost, the node-pair entry point, refuses it in either direction
     g = graph_from_edges([("a", "b"), ("b", "c")])
-    costs = EdgeCosts(g, WeightingScheme.RWS)
-    with pytest.raises(ValueError):
-        costs.edge_cost(g.node_index("a"), g.node_index("c"))
+    a, c = g.node_index("a"), g.node_index("c")
+    for source, target in ((a, c), (c, a)):
+        with pytest.raises(ValueError):
+            rws_cost(g, source, target)
 
 
 # ------------------------------------------------------------ properties
@@ -220,6 +215,22 @@ def test_rws_costs_in_unit_interval_and_match_oracle(g):
             c = rws_cost(g, a, b)
             assert 0.0 <= c < 1.0
             assert c == pytest.approx(overlap_cost(sets, a, b))
+
+
+@given(random_graph(), st.sampled_from(list(WeightingScheme)))
+@settings(max_examples=80)
+def test_edge_costs_match_scheme_functions(g, scheme):
+    costs = EdgeCosts(g, scheme)
+    if scheme is WeightingScheme.UNWEIGHTED:
+        table = (1.0,) * g.num_edges
+    elif scheme is WeightingScheme.JOINT_IC:
+        table = joint_ic_costs(g)
+    elif scheme is not WeightingScheme.RWS:
+        table = frequency_costs(g, scheme)
+    for e, (u, v) in enumerate(g.edge_endpoints):
+        for a, b in ((u, v), (v, u)):
+            want = rws_cost(g, a, b) if scheme is WeightingScheme.RWS else table[e]
+            assert costs.cost(a, b, e) == want
 
 
 @given(random_graph(), st.sampled_from([WeightingScheme.AF, WeightingScheme.IAF,
