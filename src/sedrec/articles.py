@@ -50,7 +50,7 @@ class ScreeningConfig:
 
     def __post_init__(self):
         if self.top_k is not None and self.top_k < 1:
-            raise ValueError("top_k must be >= 1 or None for unlimited")
+            raise ValueError(f"top_k must be >= 1 or None for unlimited, got {self.top_k}")
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ class ContextWordConfig:
 
     def __post_init__(self):
         if not 0 <= self.n_words <= 4:
-            raise ValueError("n_words must be between 0 and 4")
+            raise ValueError(f"n_words must be between 0 and 4, got {self.n_words}")
 
 
 def load_corpus(directory) -> dict[str, Article]:

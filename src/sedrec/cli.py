@@ -106,12 +106,15 @@ def cmd_ingest(args) -> int:
     stoplist = frozenset()
     if args.stoplist:
         stoplist = read_stoplist(_require_file(args.stoplist, "stoplist file"))
-    cfg = PruneConfig(
-        english_only=args.english_only,
-        min_out_degree=args.min_out_degree,
-        stoplist=stoplist,
-        drop_leaves=args.drop_leaves,
-    )
+    try:
+        cfg = PruneConfig(
+            english_only=args.english_only,
+            min_out_degree=args.min_out_degree,
+            stoplist=stoplist,
+            drop_leaves=args.drop_leaves,
+        )
+    except ValueError as exc:
+        raise InputDataError(f"bad option value: {exc}") from None
     tally = ParseTally()
     graph = build_graph(parse_ntriples(triples_path, tally), cfg)
     save_snapshot(graph, args.out)
@@ -206,15 +209,6 @@ def _parse_drop_types(text: str) -> frozenset[str]:
     return frozenset(t.strip().upper() for t in text.split(",") if t.strip())
 
 
-def _parse_top_entities(text: str):
-    if text.lower() == "all":
-        return None
-    value = int(text)
-    if value < 1:
-        raise InputDataError("--top-entities must be >= 1 or 'all'")
-    return value
-
-
 def cmd_score(args) -> int:
     corpus_root = _require_file(args.corpus, "corpus root")
     articles, records = load_cnrec(corpus_root, expect_articles=None,
@@ -236,18 +230,22 @@ def cmd_score(args) -> int:
         kg = load_snapshot(_require_file(kg_path, "graph snapshot (--kg)"))
         annotations = load_annotations(
             _require_file(args.annotations, "entity annotations (--annotations)"))
-        cfg = ScoringConfig(
-            variant=SedVariant(args.variant),
-            penalty=args.penalty,
-            weighting=WeightingScheme(args.weighting),
-            expansion=ExpansionConfig(args.hops),
-            screening=ScreeningConfig(
-                drop_types=_parse_drop_types(args.drop_types),
-                top_k=_parse_top_entities(args.top_entities),
-            ),
-            context_words=ContextWordConfig(args.context_words),
-            reverse_direction=args.reverse_direction,
-        )
+        try:
+            cfg = ScoringConfig(
+                variant=SedVariant(args.variant),
+                penalty=args.penalty,
+                weighting=WeightingScheme(args.weighting),
+                expansion=ExpansionConfig(args.hops),
+                screening=ScreeningConfig(
+                    drop_types=_parse_drop_types(args.drop_types),
+                    top_k=(None if args.top_entities.lower() == "all"
+                           else int(args.top_entities)),
+                ),
+                context_words=ContextWordConfig(args.context_words),
+                reverse_direction=args.reverse_direction,
+            )
+        except ValueError as exc:
+            raise InputDataError(f"bad option value: {exc}") from None
         table = score_sed(kg, articles, pairs, annotations, cfg, jobs=args.jobs,
                           method=args.label or "sed")
         config = {
@@ -286,33 +284,6 @@ def _split_scores_args(values) -> list[str]:
     return out
 
 
-def _evaluation_inputs(args) -> tuple[ScoreTable, list[AnnotationRecord], list[EvalCondition]]:
-    score_paths = _split_scores_args(args.scores)
-    if not score_paths:
-        raise InputDataError("at least one --scores file is required")
-    table = _load_score_tables(score_paths)
-    root = _require_file(args.cnrec, "benchmark root (--cnrec)")
-    expect_articles = args.expect_articles or None
-    expect_pairs = args.expect_pairs or None
-    _, records = load_cnrec(root, expect_articles=expect_articles,
-                            expect_pairs=expect_pairs)
-    conditions = [EvalCondition.parse(c)
-                  for c in args.conditions.split(",") if c.strip()]
-    expected_pairs = {r.pair_id for r in records}
-    for method in table.methods():
-        have = set(table.column(method))
-        if have != expected_pairs:
-            missing = sorted(expected_pairs - have)
-            extra = sorted(have - expected_pairs)
-            example = (missing or extra)[:5]
-            raise InputDataError(
-                f"score file for {method!r} does not cover the benchmark "
-                f"pairs: {len(missing)} missing, {len(extra)} unknown "
-                f"(e.g. {example})"
-            )
-    return table, records, conditions
-
-
 def _with_ensemble(table: ScoreTable, spec: str | None) -> ScoreTable:
     if not spec:
         return table
@@ -337,7 +308,15 @@ def _report(args, ensemble_spec: str | None):
 
     Returns the report, the manifest config and the manifest inputs.
     """
-    table, records, conditions = _evaluation_inputs(args)
+    score_paths = _split_scores_args(args.scores)
+    if not score_paths:
+        raise InputDataError("at least one --scores file is required")
+    table = _load_score_tables(score_paths)
+    root = _require_file(args.cnrec, "benchmark root (--cnrec)")
+    _, records = load_cnrec(root, expect_articles=args.expect_articles or None,
+                            expect_pairs=args.expect_pairs or None)
+    conditions = [EvalCondition.parse(c)
+                  for c in args.conditions.split(",") if c.strip()]
     table = _with_ensemble(table, ensemble_spec)
     decisions = {m: {pid: ps.decision for pid, ps in table.column(m).items()}
                  for m in table.methods()}
@@ -345,7 +324,6 @@ def _report(args, ensemble_spec: str | None):
           for m in table.methods()}
     report = evaluate_scores(records, decisions, zs, conditions)
     print(report.format_table())
-    score_paths = _split_scores_args(args.scores)
     config = {"scores": score_paths, "conditions": [c.label for c in conditions]}
     return report, config, score_paths + [args.cnrec]
 

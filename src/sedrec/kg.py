@@ -154,7 +154,7 @@ class PruneConfig:
 
     def __post_init__(self):
         if self.min_out_degree < 0:
-            raise ValueError("min_out_degree must be non-negative")
+            raise ValueError(f"min_out_degree must be non-negative, got {self.min_out_degree}")
 
 
 @dataclass(frozen=True)
@@ -190,18 +190,22 @@ def _pred_basename(predicate: str) -> str:
     return predicate.rsplit("/", 1)[-1].rsplit("#", 1)[-1]
 
 
-def _count_stage(triples: list[TripleRecord]) -> tuple[int, int, int]:
+def _restrict(ts: list[TripleRecord], keep) -> list[TripleRecord]:
+    """The triples whose subject and node object are both in ``keep``."""
+    return [t for t in ts if t.subject in keep and (t.is_literal or t.object in keep)]
+
+
+def _census(ts: list[TripleRecord], name: str, stats: PruneStats) -> set[str]:
+    """Record the ``PassStats`` row for ``ts`` and return its node set."""
     nodes = set()
     node_triples = 0
-    literal_triples = 0
-    for t in triples:
+    for t in ts:
         nodes.add(t.subject)
-        if t.is_literal:
-            literal_triples += 1
-        else:
+        if not t.is_literal:
             nodes.add(t.object)
             node_triples += 1
-    return len(nodes), node_triples, literal_triples
+    stats.passes.append(PassStats(name, len(nodes), node_triples, len(ts) - node_triples))
+    return nodes
 
 
 def build_graph(triples: Iterable[TripleRecord], cfg: PruneConfig) -> "KnowledgeGraph":
@@ -209,46 +213,33 @@ def build_graph(triples: Iterable[TripleRecord], cfg: PruneConfig) -> "Knowledge
 
     Pruning passes run in a fixed order, once each: non-English literal
     removal, stoplist removal, source out-degree filtering, leaf removal.
+    Each node pass computes a keep-set and drops the triples with an
+    endpoint outside it in one ``_restrict`` step. After every pass one
+    ``_census`` records its ``PassStats`` row and returns the surviving
+    nodes; the last census is the node table.
     Leaf removal iterates until no degree<=1 vertex remains so that every
     surviving node keeps degree >= 2. Literal triples for surviving nodes
     supply titles instead of edges.
     """
     ts = list(triples)
     stats = PruneStats()
-
-    def record(name: str) -> None:
-        stats.passes.append(PassStats(name, *_count_stage(ts)))
-
-    record("input")
+    nodes = _census(ts, "input", stats)
 
     if cfg.english_only:
         ts = [t for t in ts if not t.is_literal or _is_english(t.lang)]
-    record("english")
+    nodes = _census(ts, "english", stats)
 
     if cfg.stoplist:
-        stop = cfg.stoplist
-        ts = [
-            t for t in ts
-            if t.subject not in stop and (t.is_literal or t.object not in stop)
-        ]
-    record("stoplist")
+        ts = _restrict(ts, nodes - cfg.stoplist)
+    nodes = _census(ts, "stoplist", stats)
 
     if cfg.min_out_degree > 0:
         out_nbrs: dict[str, set] = defaultdict(set)
-        nodes = set()
         for t in ts:
-            nodes.add(t.subject)
-            if t.is_literal:
-                out_nbrs[t.subject].add((t.object, t.lang))
-            else:
-                nodes.add(t.object)
-                out_nbrs[t.subject].add(t.object)
-        keep = {n for n in nodes if len(out_nbrs.get(n, ())) >= cfg.min_out_degree}
-        ts = [
-            t for t in ts
-            if t.subject in keep and (t.is_literal or t.object in keep)
-        ]
-    record("out-degree")
+            out_nbrs[t.subject].add((t.object, t.lang) if t.is_literal else t.object)
+        ts = _restrict(ts, {n for n, outs in out_nbrs.items()
+                            if len(outs) >= cfg.min_out_degree})
+    nodes = _census(ts, "out-degree", stats)
 
     if cfg.drop_leaves:
         nbrs: dict[str, set] = defaultdict(set)
@@ -268,19 +259,10 @@ def build_graph(triples: Iterable[TripleRecord], cfg: PruneConfig) -> "Knowledge
                 if len(nbrs[other]) <= 1:
                     removed.add(other)
                     queue.append(other)
-        core = {n for n in nbrs if n not in removed}
-        ts = [
-            t for t in ts
-            if t.subject in core and (t.is_literal or t.object in core)
-        ]
-    record("leaves")
+        ts = _restrict(ts, nbrs.keys() - removed)
+    nodes = _census(ts, "leaves", stats)
 
-    node_set = set()
-    for t in ts:
-        node_set.add(t.subject)
-        if not t.is_literal:
-            node_set.add(t.object)
-    ids = tuple(sorted(node_set))
+    ids = tuple(sorted(nodes))
     index = {ident: i for i, ident in enumerate(ids)}
 
     edge_map: dict[tuple[int, int], set[str]] = {}
@@ -466,9 +448,6 @@ class _Reader:
         if len(data) != n:
             raise SnapshotError("truncated snapshot file")
         return data
-
-    def u8(self) -> int:
-        return struct.unpack("<B", self.exact(1))[0]
 
     def u16(self) -> int:
         return struct.unpack("<H", self.exact(2))[0]

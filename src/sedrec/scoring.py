@@ -65,7 +65,7 @@ class ScoringConfig:
 
     def __post_init__(self):
         if not 0.0 <= self.penalty <= 1.0:
-            raise ValueError("penalty must lie in [0, 1]")
+            raise ValueError(f"penalty must lie in [0, 1], got {self.penalty}")
 
 
 # ------------------------------------------------------------- distances
@@ -369,7 +369,8 @@ def _run_pair_pass(pairs: list[Pair], jobs: int):
         start = multiprocessing.get_start_method(allow_none=False)
         if start == "fork":
             with ProcessPoolExecutor(max_workers=jobs) as pool:
-                return list(pool.map(_pair_matrices, pairs, chunksize=64))
+                return list(pool.map(_pair_matrices, pairs,
+                                     chunksize=max(1, len(pairs) // (4 * jobs))))
         log.warning("jobs=%d needs the 'fork' start method, not %r; "
                     "running the pair pass serially", jobs, start)
     return [_pair_matrices(p) for p in pairs]

@@ -64,6 +64,26 @@ def test_ingest_min_out_degree_zero_keeps_counts(synthetic_root, tmp_path, capsy
     assert lines[0].split()[1:] == lines[1].split()[1:]
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("ingest", "--min-out-degree", "-1"),
+    ("score", "--penalty", "1.5"),
+    ("score", "--context-words", "9"),
+    ("score", "--top-entities", "abc"),
+    ("score", "--top-entities", "0"),
+])
+def test_out_of_range_flag_is_input_error(synthetic_root, snapshot, tmp_path, capsys,
+                                          command, flag, value):
+    if command == "ingest":
+        args = ["ingest", "--triples", str(synthetic_root / "kg.nt")]
+    else:
+        args = ["score", "--corpus", str(synthetic_root), "--kg", str(snapshot),
+                "--annotations", str(synthetic_root / "entities.tsv")]
+    rc = main(args + [flag, value, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and value in err
+
+
 # ------------------------------------------------------------------ score
 
 @pytest.fixture(scope="module")

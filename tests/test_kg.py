@@ -1,4 +1,5 @@
 import gzip
+import hashlib
 import io
 
 import pytest
@@ -190,6 +191,59 @@ def test_prune_stats_recorded():
     assert names == ["input", "english", "stoplist", "out-degree", "leaves"]
     assert g.prune_stats.collapsed_edges == 1
     assert "collapsed" in g.prune_stats.format_report()
+
+
+def test_prune_stats_count_every_pass():
+    triples = [
+        # square core a-b-c-d, each node named
+        nt("a", "p", "b"), nt("b", "p", "c"), nt("c", "p", "d"), nt("d", "p", "a"),
+        lit("a", "type.object.name", "A", "en"), lit("b", "type.object.name", "B", "en"),
+        lit("c", "type.object.name", "C", "en"), lit("d", "type.object.name", "D", "en"),
+        lit("a", "type.object.name", "Ah", "fr"),  # english
+        nt("a", "p", "s"), nt("s", "p", "b"), lit("s", "type.object.name", "S", "en"),
+        # e reaches out-degree 2 only through its untagged literal
+        nt("e", "p", "a"), lit("e", "label", "E label"), nt("c", "p", "e"),
+        nt("f", "p", "a"),  # out-degree 1
+        # leaf chain d-g-h
+        nt("d", "p", "g"), nt("g", "p", "h"), lit("g", "type.object.name", "G", "en"),
+        lit("h", "type.object.name", "H", "en"), lit("h", "type.object.name", "H2"),
+    ]
+    cfg = PruneConfig(english_only=True, min_out_degree=2, stoplist=frozenset({"s"}),
+                      drop_leaves=True)
+    g = build_graph(triples, cfg)
+    passes = g.prune_stats.passes
+    assert [(p.name, p.nodes, p.node_triples, p.literal_triples) for p in passes] == [
+        ("input", 9, 11, 10),
+        ("english", 9, 11, 9),
+        ("stoplist", 8, 9, 8),
+        ("out-degree", 7, 8, 8),
+        ("leaves", 5, 6, 5),
+    ]
+    assert passes[-1].nodes == len(g)
+    assert sorted(g.ids) == ["a", "b", "c", "d", "e"]
+    assert g.num_edges == g.prune_stats.collapsed_edges == 6
+
+
+@pytest.mark.parametrize("min_out_degree, stoplisted, leaves, digest, counts", [
+    (0, False, False,
+     "340a9e01356f95dbd14be6e0dc143658dd0ea527eca57819b569dafc20efeb64",
+     [(274, 473, 275), (274, 473, 274), (274, 473, 274), (274, 473, 274),
+      (274, 473, 274)]),
+    (2, True, True,
+     "d06094085e5b00b56683f0d7712f58aa2eb1a82217e67735459099d26e205fce",
+     [(274, 473, 275), (274, 473, 274), (270, 353, 270), (263, 296, 263),
+      (138, 206, 138)]),
+])
+def test_synthetic_snapshot_bytes_are_pinned(synthetic_root, tmp_path, min_out_degree,
+                                             stoplisted, leaves, digest, counts):
+    stoplist = read_stoplist(synthetic_root / "stoplist.txt") if stoplisted else frozenset()
+    cfg = PruneConfig(english_only=True, min_out_degree=min_out_degree,
+                      stoplist=stoplist, drop_leaves=leaves)
+    g = build_graph(parse_ntriples(synthetic_root / "kg.nt"), cfg)
+    save_snapshot(g, tmp_path / "kg.snap")
+    assert hashlib.sha256((tmp_path / "kg.snap").read_bytes()).hexdigest() == digest
+    assert [(p.nodes, p.node_triples, p.literal_triples)
+            for p in g.prune_stats.passes] == counts
 
 
 # ------------------------------------------------------- graph structure

@@ -1,13 +1,16 @@
 import logging
 import math
 import multiprocessing
+import os
 import random
+import time
 
 import numpy as np
 import pytest
 
 from sedrec.articles import Article, ContextWordConfig, EntityAnnotation
 from sedrec.errors import InputDataError
+from sedrec import scoring
 from sedrec.scoring import (
     DISCONNECTED,
     ScoreTable,
@@ -442,6 +445,26 @@ def test_score_sed_serial_fallback_is_logged(mini_world, monkeypatch, caplog):
     assert any(r.levelno == logging.WARNING and "serially" in r.getMessage()
                for r in caplog.records)
     assert fallback.rows == serial.rows
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the pair pass runs in workers only under fork")
+def test_score_sed_jobs_split_small_pair_lists(mini_world, monkeypatch, tmp_path):
+    g, articles, annotations, pairs = mini_world
+    pids = tmp_path / "pids"
+    real = scoring.pair_matrices
+
+    def recording(*args):
+        time.sleep(0.05)  # hold the chunk so an idle worker takes the next one
+        with open(pids, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real(*args)
+
+    monkeypatch.setattr(scoring, "pair_matrices", recording)
+    eight = [(f"q{i}", *pairs[i % 3][1:]) for i in range(8)]
+    score_sed(g, articles, eight, annotations, ScoringConfig(), jobs=2)
+    workers = set(pids.read_text().split())
+    assert len(workers) > 1 and str(os.getpid()) not in workers
 
 
 @pytest.mark.parametrize("scheme", [WeightingScheme.RWS, WeightingScheme.JOINT_IC])
