@@ -290,14 +290,14 @@ def _with_ensemble(table: ScoreTable, spec: str | None) -> ScoreTable:
     members = [m.strip() for m in spec.split(",") if m.strip()]
     if len(members) < 2:
         raise InputDataError("--ensemble needs at least two method names")
-    z_cols = {}
-    raw_means = {}
-    for m in members:
-        col = table.column(m)
-        z_cols[m] = {pid: ps.z_score for pid, ps in col.items()}
+    missing = [m for m in members if m not in table.methods()]
+    if missing:
+        raise InputDataError(f"--ensemble names methods no score file holds: {missing}")
+    z_cols = {m: {pid: ps.z_score for pid, ps in table.column(m).items()}
+              for m in members}
     combined = ensemble(z_cols)
-    for pid in combined:
-        raw_means[pid] = sum(z_cols[m][pid] for m in members) / len(members)
+    raw_means = {pid: sum(z_cols[m][pid] for m in members) / len(members)
+                 for pid in combined}
     label = "+".join(members)
     table.merge(table_from_zscores(label, raw_means, combined))
     return table

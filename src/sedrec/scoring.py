@@ -9,6 +9,15 @@ exactly. Pass two calls ``aggregate`` per pair: it normalizes raw costs onto
 [0, 1], substitutes the disconnection penalty for unreachable or unresolvable
 seeds, and applies the ROW/SYM/AVG rule. ``sed_variant`` is the same two
 steps for a single pair.
+
+Every distance runs over a weighted core graph (``_core``): the union on
+local ids after repeatedly dropping members of union degree <= 1 that are
+not requested seeds, with one cost looked up per surviving directed edge.
+Each Dijkstra (``_shortest``) stops once its last target is settled. Both
+are exact. A non-seed member of degree <= 1 lies inside no path between two
+seeds, and relaxing back from it gives ``d + c >= d`` in floating point, so
+it never lowers a distance; settled Dijkstra distances are final; and local
+ids change only the heap's tie order, not the distance values.
 """
 
 from __future__ import annotations
@@ -70,19 +79,72 @@ class ScoringConfig:
 
 # ------------------------------------------------------------- distances
 
-def _dijkstra(adjacency, costs: EdgeCosts, source: int) -> dict[int, float]:
-    dist = {source: 0.0}
+def _core(u: SubGraph, costs: EdgeCosts, pinned: set[int]):
+    """Local ids and sorted (neighbour, cost) rows of the union's core graph,
+    peeled down to members of degree >= 2 and the ``pinned`` seeds."""
+    endpoints = u.parent.edge_endpoints
+    adj: dict[int, list[tuple[int, int]]] = {m: [] for m in u.members}
+    for e in u.edges:
+        a, b = endpoints[e]
+        adj[a].append((b, e))
+        adj[b].append((a, e))
+    degree = {m: len(row) for m, row in adj.items()}
+    peel = [m for m, d in degree.items() if d <= 1 and m not in pinned]
+    dropped = set()
+    while peel:
+        m = peel.pop()
+        dropped.add(m)
+        for v, _ in adj[m]:
+            if v not in dropped:
+                degree[v] -= 1
+                if degree[v] == 1 and v not in pinned:
+                    peel.append(v)
+    local = {m: i for i, m in enumerate(sorted(adj.keys() - dropped))}
+    cost = costs.cost
+    rows = [sorted((local[v], cost(m, v, e)) for v, e in adj[m] if v in local)
+            for m in local]
+    return local, rows
+
+
+def _shortest(rows: list[list[tuple[int, float]]], source: int,
+              targets: set[int]) -> list[float]:
+    """Dijkstra over a core graph; stops once every target is settled."""
+    dist = [DISCONNECTED] * len(rows)
+    dist[source] = 0.0
+    left = set(targets)
     heap = [(0.0, source)]
     while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist[u]:
+        d, a = heapq.heappop(heap)
+        if d > dist[a]:
             continue
-        for v, e in adjacency[u]:
-            nd = d + costs.cost(u, v, e)
-            if nd < dist.get(v, math.inf):
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
+        left.discard(a)
+        if not left:
+            break
+        for b, c in rows[a]:
+            nd = d + c
+            if nd < dist[b]:
+                dist[b] = nd
+                heapq.heappush(heap, (nd, b))
     return dist
+
+
+def _matrix(core, sources: list[int | None],
+            targets: list[int | None]) -> list[list[float]]:
+    """One early-stopping Dijkstra per source; None stands for a missing seed."""
+    local, rows = core
+    goal = {local[t] for t in targets if t is not None}
+    out = []
+    for s in sources:
+        dist = None if s is None else _shortest(rows, local[s], goal)
+        out.append([DISCONNECTED if dist is None or t is None else dist[local[t]]
+                    for t in targets])
+    return out
+
+
+def _union_nodes(u: SubGraph, ids: Sequence[str]) -> list[int | None]:
+    g = u.parent
+    nodes = [g.node_index(i) if g.has_node(i) else None for i in ids]
+    return [m if m in u.members else None for m in nodes]
 
 
 def node_pair_distance(u: SubGraph, costs: EdgeCosts, source: int, target: int) -> float:
@@ -95,9 +157,7 @@ def node_pair_distance(u: SubGraph, costs: EdgeCosts, source: int, target: int) 
         raise ValueError(f"source node {source} is not in the union graph")
     if target not in u.members:
         raise ValueError(f"target node {target} is not in the union graph")
-    if source == target:
-        return 0.0
-    return _dijkstra(u.adjacency(), costs, source).get(target, DISCONNECTED)
+    return _matrix(_core(u, costs, {source, target}), [source], [target])[0][0]
 
 
 def distance_matrix(u: SubGraph, costs: EdgeCosts,
@@ -107,20 +167,8 @@ def distance_matrix(u: SubGraph, costs: EdgeCosts,
     Seeds that did not resolve into the graph, and unreachable targets, appear
     as DISCONNECTED entries.
     """
-    g = u.parent
-    adjacency = u.adjacency()
-    targets = [g.node_index(t) if g.has_node(t) else None for t in to_ids]
-    rows = []
-    for m in from_ids:
-        if not g.has_node(m) or g.node_index(m) not in u.members:
-            rows.append([DISCONNECTED] * len(to_ids))
-            continue
-        dist = _dijkstra(adjacency, costs, g.node_index(m))
-        rows.append([
-            DISCONNECTED if t is None else dist.get(t, DISCONNECTED)
-            for t in targets
-        ])
-    return rows
+    sources, targets = _union_nodes(u, from_ids), _union_nodes(u, to_ids)
+    return _matrix(_core(u, costs, {*sources, *targets} - {None}), sources, targets)
 
 
 def normalize_distance(raw: float, corpus_max_finite: float, penalty: float) -> float:
@@ -134,8 +182,13 @@ def normalize_distance(raw: float, corpus_max_finite: float, penalty: float) -> 
 
 def pair_matrices(u: SubGraph, costs: EdgeCosts, s1: Sequence[str],
                   s2: Sequence[str]) -> tuple[list[list[float]], list[list[float]]]:
-    """Raw forward (s1->s2) and backward (s2->s1) distance matrices."""
-    return distance_matrix(u, costs, s1, s2), distance_matrix(u, costs, s2, s1)
+    """Raw forward (s1->s2) and backward (s2->s1) distance matrices.
+
+    Both directions run over one core graph pinned at the seeds of both sets.
+    """
+    n1, n2 = _union_nodes(u, s1), _union_nodes(u, s2)
+    core = _core(u, costs, {*n1, *n2} - {None})
+    return _matrix(core, n1, n2), _matrix(core, n2, n1)
 
 
 def aggregate(forward: list[list[float]], backward: list[list[float]],

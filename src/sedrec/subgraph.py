@@ -51,7 +51,10 @@ class SubGraph:
         return len(self.members)
 
     def adjacency(self) -> dict[int, list[tuple[int, int]]]:
-        """Adjacency restricted to this subgraph's edges, sorted per node."""
+        """Adjacency restricted to this subgraph's edges, sorted per node.
+
+        Scoring builds its own core graph; perfbench and the test oracles call this.
+        """
         adj: dict[int, list[tuple[int, int]]] = {m: [] for m in self.members}
         for e in self.edges:
             u, v = self.parent.edge_endpoints[e]

@@ -12,6 +12,8 @@ import math
 from collections import Counter, defaultdict
 from enum import Enum
 
+import numpy as np
+
 from .kg import KnowledgeGraph
 
 
@@ -36,11 +38,8 @@ def rws_cost(g: KnowledgeGraph, source: int, target: int) -> float:
             f"nodes {source} and {target} are not adjacent; "
             "edge costs are defined on edges only"
         )
-    return _overlap_cost(g.closed_neighborhood(source), g.closed_neighborhood(target))
-
-
-def _overlap_cost(ns: frozenset[int], nt: frozenset[int]) -> float:
-    return 1.0 - len(ns & nt) / len(ns)
+    ns = g.closed_neighborhood(source)
+    return 1.0 - len(ns & g.closed_neighborhood(target)) / len(ns)
 
 
 def _predicate_stats(g: KnowledgeGraph) -> tuple[Counter, dict[str, set[int]]]:
@@ -103,33 +102,36 @@ def joint_ic_costs(g: KnowledgeGraph) -> tuple[float, ...]:
     most informative orientation; costs are one minus the min-max normalized
     edge IC, so the globally most informative edge costs 0 and the least
     informative costs 1.
+
+    Incidence counts come from numpy; the logs are taken with ``math.log``
+    once per distinct (predicate, object degree), so every cost is the float
+    the per-orientation definition gives.
     """
-    counts, _ = _predicate_stats(g)
-    if not counts:
+    if not g.num_edges:
         return ()
-    total = sum(counts.values())
-    deg_p: dict[tuple[str, int], int] = defaultdict(int)
-    for e, preds in enumerate(g.edge_predicates):
-        u, v = g.edge_endpoints[e]
-        for p in preds:
-            deg_p[(p, u)] += 1
-            deg_p[(p, v)] += 1
-
-    ics = []
-    for e, preds in enumerate(g.edge_predicates):
-        u, v = g.edge_endpoints[e]
-        best = -math.inf
-        for p in preds:
-            ic_pred = -math.log(counts[p] / total)
-            for obj in (u, v):
-                ic_obj = -math.log(deg_p[(p, obj)] / (2 * counts[p]))
-                best = max(best, ic_pred + ic_obj)
-        ics.append(best)
-
-    lo, hi = min(ics), max(ics)
+    names: dict[str, int] = {}
+    pred = np.fromiter((names.setdefault(p, len(names))
+                        for preds in g.edge_predicates for p in preds), dtype=np.int64)
+    width = np.fromiter(map(len, g.edge_predicates), dtype=np.int64, count=g.num_edges)
+    ends = np.repeat(np.array(g.edge_endpoints, dtype=np.int64), width, axis=0)
+    counts = np.bincount(pred).tolist()
+    total = sum(counts)
+    # (predicate, node) incidence counts, then each orientation's object degree
+    key = pred * len(g)
+    _, slot = np.unique(np.concatenate([key + ends[:, 0], key + ends[:, 1]]),
+                        return_inverse=True)
+    degree = np.bincount(slot)[slot]
+    span = int(degree.max()) + 1
+    keys, which = np.unique(np.concatenate([pred, pred]) * span + degree,
+                            return_inverse=True)
+    ic = np.array([(-math.log(counts[p] / total)) + (-math.log(d / (2 * counts[p])))
+                   for p, d in zip((keys // span).tolist(), (keys % span).tolist())])
+    best = np.maximum(ic[which[:len(pred)]], ic[which[len(pred):]])
+    ics = np.maximum.reduceat(best, np.cumsum(width) - width)
+    lo, hi = ics.min(), ics.max()
     if hi == lo:
-        return tuple(0.0 for _ in ics)
-    return tuple(1.0 - (ic - lo) / (hi - lo) for ic in ics)
+        return (0.0,) * g.num_edges
+    return tuple((1.0 - (ics - lo) / (hi - lo)).tolist())
 
 
 class EdgeCosts:
@@ -137,16 +139,18 @@ class EdgeCosts:
 
     Two paths. The symmetric schemes (unweighted, AF, IAF, AF-IAF, JointIC)
     build a whole-graph per-edge table up front from ``frequency_costs`` or
-    ``joint_ic_costs``. RWS is direction dependent: its overlap costs are
-    computed lazily per queried edge direction and memoized, since only
-    union-graph edges are ever relaxed. Safe for concurrent reads; racing
-    memo inserts write identical values.
+    ``joint_ic_costs``. RWS is direction dependent, but the size k of the
+    endpoints' closed-neighbourhood intersection is not: k is computed lazily
+    per queried edge, since only union-graph edges are ever relaxed, and
+    memoized by edge index; either direction reads
+    ``1 - k / (degree(source) + 1)``. Safe for concurrent reads; racing memo
+    inserts write identical values.
     """
 
     def __init__(self, g: KnowledgeGraph, scheme: WeightingScheme):
         self.graph = g
         self.scheme = scheme
-        self._memo: dict[tuple[int, int], float] = {}
+        self._shared: dict[int, int] = {}
         self._nbhd: dict[int, frozenset[int]] = {}
         self._table: tuple[float, ...] | None = None
         if scheme is WeightingScheme.UNWEIGHTED:
@@ -167,9 +171,8 @@ class EdgeCosts:
         """Cost of relaxing ``edge`` in the direction source->target."""
         if self._table is not None:
             return self._table[edge]
-        key = (source, target)
-        c = self._memo.get(key)
-        if c is None:
-            c = _overlap_cost(self._closed(source), self._closed(target))
-            self._memo[key] = c
-        return c
+        k = self._shared.get(edge)
+        if k is None:
+            k = len(self._closed(source) & self._closed(target))
+            self._shared[edge] = k
+        return 1.0 - k / (self.graph.degrees[source] + 1)

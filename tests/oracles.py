@@ -1,15 +1,18 @@
 """Independent brute-force reference implementations used to check the library.
 
 Everything here deliberately avoids the package's traversal and aggregation
-code paths: shortest distances come from exhaustive simple-path enumeration,
-neighborhood overlap costs are recomputed from raw adjacency sets, and the
-article-distance aggregates follow their definitions directly.
+code paths: shortest distances come from exhaustive simple-path enumeration
+or from a full Dijkstra over the whole union graph, neighborhood overlap
+costs are recomputed from raw adjacency sets, the JointIC table is the
+per-orientation loop of its definition, and the article-distance aggregates
+follow their definitions directly.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
-from collections import deque
+from collections import Counter, deque
 
 
 def enum_shortest_from(n_nodes, directed_cost, adjacency, source):
@@ -37,6 +40,71 @@ def enum_shortest_from(n_nodes, directed_cost, adjacency, source):
 
     walk(source, 0.0)
     return best
+
+
+def full_dijkstra(adjacency, costs, source):
+    """Shortest costs from ``source`` to every reachable node, no early stop.
+
+    ``adjacency`` is ``SubGraph.adjacency()``; ``costs.cost(u, v, e)`` is
+    looked up on every relaxation.
+    """
+    dist = {source: 0.0}
+    heap = [(0.0, source)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist[u]:
+            continue
+        for v, e in adjacency[u]:
+            nd = d + costs.cost(u, v, e)
+            if nd < dist.get(v, math.inf):
+                dist[v] = nd
+                heapq.heappush(heap, (nd, v))
+    return dist
+
+
+def union_distance_matrix(u, costs, from_ids, to_ids):
+    """Directed seed-to-seed distances by one full Dijkstra per source seed.
+
+    Seeds missing from the graph or the union, and unreachable targets, give
+    infinity.
+    """
+    g = u.parent
+    adjacency = u.adjacency()
+    targets = [g.node_index(t) if g.has_node(t) else None for t in to_ids]
+    rows = []
+    for m in from_ids:
+        if not g.has_node(m) or g.node_index(m) not in u.members:
+            rows.append([math.inf] * len(to_ids))
+            continue
+        dist = full_dijkstra(adjacency, costs, g.node_index(m))
+        rows.append([math.inf if t is None else dist.get(t, math.inf) for t in targets])
+    return rows
+
+
+def joint_ic_loop(g):
+    """JointIC edge costs by looping over every edge orientation."""
+    counts = Counter(p for preds in g.edge_predicates for p in preds)
+    if not counts:
+        return ()
+    total = sum(counts.values())
+    deg_p = Counter()
+    for (u, v), preds in zip(g.edge_endpoints, g.edge_predicates):
+        for p in preds:
+            deg_p[(p, u)] += 1
+            deg_p[(p, v)] += 1
+    ics = []
+    for (u, v), preds in zip(g.edge_endpoints, g.edge_predicates):
+        best = -math.inf
+        for p in preds:
+            ic_pred = -math.log(counts[p] / total)
+            for obj in (u, v):
+                ic_obj = -math.log(deg_p[(p, obj)] / (2 * counts[p]))
+                best = max(best, ic_pred + ic_obj)
+        ics.append(best)
+    lo, hi = min(ics), max(ics)
+    if hi == lo:
+        return tuple(0.0 for _ in ics)
+    return tuple(1.0 - (ic - lo) / (hi - lo) for ic in ics)
 
 
 def bfs_hops(adjacency, source):

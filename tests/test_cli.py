@@ -225,6 +225,14 @@ def test_evaluate_emits_metrics_and_correlations(
     assert (tmp_path / "metrics.csv.manifest.json").exists()
 
 
+def test_evaluate_rejects_unknown_ensemble_member(synthetic_root, tfidf_scores, capsys):
+    rc = main(["evaluate", "--scores", str(tfidf_scores),
+               "--cnrec", str(synthetic_root), "--ensemble", "tfidf,nosuch"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "nosuch" in err
+
+
 def test_evaluate_rejects_missing_pair(synthetic_root, sed_scores, tmp_path, capsys):
     crippled = tmp_path / "short.csv"
     lines = sed_scores.read_text().splitlines()

@@ -1,3 +1,4 @@
+import hashlib
 import logging
 import math
 import multiprocessing
@@ -7,9 +8,13 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sedrec.articles import Article, ContextWordConfig, EntityAnnotation
+from sedrec.articles import Article, ContextWordConfig, EntityAnnotation, load_annotations
 from sedrec.errors import InputDataError
+from sedrec.evaluation import load_cnrec
+from sedrec.kg import PruneConfig, build_graph, parse_ntriples
 from sedrec import scoring
 from sedrec.scoring import (
     DISCONNECTED,
@@ -18,10 +23,12 @@ from sedrec.scoring import (
     SedVariant,
     baseline_distance,
     compute_seed_sets,
+    distance_matrix,
     ensemble,
     import_embedding_scores,
     node_pair_distance,
     normalize_distance,
+    pair_matrices,
     score_sed,
     score_tfidf,
     sed_variant,
@@ -32,7 +39,7 @@ from sedrec.subgraph import ExpansionConfig, SubGraph, expand, union
 from sedrec.weighting import EdgeCosts, WeightingScheme
 
 from helpers import graph_from_edges
-from oracles import bfs_hops, enum_shortest_from
+from oracles import bfs_hops, enum_shortest_from, union_distance_matrix
 
 
 def full_subgraph(g, seed_names=()):
@@ -138,6 +145,45 @@ def test_unweighted_distance_equals_bfs_hops():
         for target in range(len(g)):
             got = node_pair_distance(sg, costs, source, target)
             assert got == hops.get(target, DISCONNECTED)
+
+
+@st.composite
+def union_case(draw):
+    """A graph with pendant chains and maybe a second component, a two-article
+    union inside it, and two query seed lists drawn independently of the
+    union, so seeds may be leaves, outside the union or missing."""
+    preds = st.sampled_from(["p", "q", "r"])
+    n = draw(st.integers(2, 8))
+    names = [f"n{i}" for i in range(n)]
+    possible = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
+    edges = [(a, b, p) for (a, b), p in draw(st.lists(
+        st.tuples(st.sampled_from(possible), preds), min_size=1, max_size=14))]
+    for c in range(draw(st.integers(0, 2))):
+        prev = draw(st.sampled_from(names))
+        for k in range(draw(st.integers(1, 3))):
+            edges.append((prev, f"t{c}.{k}", draw(preds)))
+            prev = f"t{c}.{k}"
+    if draw(st.booleans()):
+        edges += [("x0", "x1", "p"), ("x1", "x2", "q")]
+    g = graph_from_edges(edges)
+    ids = sorted(g.ids)
+    cfg = ExpansionConfig(draw(st.sampled_from([1, 2])))
+    grow = st.sets(st.sampled_from(ids), min_size=1, max_size=3)
+    u = union(expand(g, draw(grow), cfg), expand(g, draw(grow), cfg))
+    query = st.lists(st.sampled_from(ids + ["m.missing"]), min_size=1, max_size=4,
+                     unique=True)
+    return g, u, sorted(draw(query)), sorted(draw(query))
+
+
+@given(union_case(), st.sampled_from(list(WeightingScheme)))
+@settings(max_examples=150, deadline=None)
+def test_core_pair_pass_equals_full_dijkstra_oracle(case, scheme):
+    g, u, s1, s2 = case
+    costs = EdgeCosts(g, scheme)
+    forward = union_distance_matrix(u, costs, s1, s2)
+    backward = union_distance_matrix(u, costs, s2, s1)
+    assert distance_matrix(u, costs, s1, s2) == forward
+    assert pair_matrices(u, costs, s1, s2) == (forward, backward)
 
 
 # ------------------------------------------------------------ sed variants
@@ -536,3 +582,25 @@ def test_frequency_scheme_costs_are_symmetric(mini_world):
     first = costs.cost(u, v, 0)
     assert costs.cost(v, u, 0) == first  # one table entry per edge
     assert 0.0 <= first <= 1.0
+
+
+@pytest.mark.parametrize("cfg, digest", [
+    (ScoringConfig(),
+     "cd8feb6db5e2ba97f1092fa1d3a716bab5ad66055dba8dab1368f22d6bce4558"),
+    (ScoringConfig(expansion=ExpansionConfig(2)),
+     "ae7ecf9d3af63954b3796989ad8bf79e80040e035f18eaa292384d8ecba1aaee"),
+    (ScoringConfig(variant=SedVariant.AVG, weighting=WeightingScheme.JOINT_IC,
+                   expansion=ExpansionConfig(2)),
+     "20ce49daaa663f3081467857e660ecb6efaba79d1ae461e7ff57c9bdea6f123d"),
+    (ScoringConfig(variant=SedVariant.ROW, reverse_direction=True,
+                   weighting=WeightingScheme.AF),
+     "3175f1ef67e408430e8b948d736f2e12ee984d8e40936f71ca21f7733b2a8530"),
+], ids=["sym-rws-1hop", "sym-rws-2hop", "avg-jointic-2hop", "row-reversed-af-1hop"])
+def test_score_csv_digests_are_pinned(synthetic_root, tmp_path, cfg, digest):
+    g = build_graph(parse_ntriples(synthetic_root / "kg.nt"),
+                    PruneConfig(english_only=True, min_out_degree=0))
+    articles, records = load_cnrec(synthetic_root)
+    annotations = load_annotations(synthetic_root / "entities.tsv")
+    pairs = [(r.pair_id, r.article_a, r.article_b) for r in records]
+    score_sed(g, articles, pairs, annotations, cfg).write_csv(tmp_path / "sed.csv")
+    assert hashlib.sha256((tmp_path / "sed.csv").read_bytes()).hexdigest() == digest

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sedrec.kg import KnowledgeGraph
 from sedrec.weighting import (
     EdgeCosts,
     WeightingScheme,
@@ -15,7 +16,7 @@ from sedrec.weighting import (
 
 from helpers import graph_from_edges
 
-from oracles import overlap_cost
+from oracles import joint_ic_loop, overlap_cost
 
 
 def neighbor_sets(g):
@@ -162,6 +163,19 @@ def test_joint_ic_degenerate_uniform_graph():
     assert joint_ic_costs(g) == (0.0, 0.0)
 
 
+@pytest.mark.parametrize("g", [
+    graph_from_edges([("a", "b", "p"), ("a", "b", "q"), ("b", "c", "q"),
+                      ("c", "d", "r"), ("c", "d", "p"), ("a", "c", "p")]),
+    graph_from_edges([("a", "b", "p"), ("c", "d", "p")]),
+    KnowledgeGraph([], [], [], []),
+    KnowledgeGraph(["n"], ["N"], [], []),
+], ids=["multi-predicate", "uniform", "empty", "no-edges"])
+def test_joint_ic_table_equals_loop_oracle(g):
+    got = joint_ic_costs(g)
+    assert got == joint_ic_loop(g)
+    assert isinstance(got, tuple) and all(type(c) is float for c in got)
+
+
 # ------------------------------------------------------------ EdgeCosts
 
 def test_unweighted_costs_are_exactly_one():
@@ -244,6 +258,14 @@ def test_frequency_costs_in_unit_interval(g, scheme):
 @settings(max_examples=60)
 def test_joint_ic_costs_in_unit_interval(g):
     assert all(0.0 <= c <= 1.0 for c in joint_ic_costs(g))
+
+
+@given(random_graph())
+@settings(max_examples=80)
+def test_joint_ic_costs_equal_loop_oracle(g):
+    got = joint_ic_costs(g)
+    assert got == joint_ic_loop(g)
+    assert all(type(c) is float for c in got)
 
 
 @given(random_graph(), st.randoms(use_true_random=False),
