@@ -302,7 +302,13 @@ def build_graph(triples: Iterable[TripleRecord], cfg: PruneConfig) -> "Knowledge
 
 
 class KnowledgeGraph:
-    """Immutable undirected graph with interned nodes and collapsed edges."""
+    """Immutable undirected graph with interned nodes and collapsed edges.
+
+    Edges must come in canonical order: each node pair ``(u, v)`` has
+    ``0 <= u < v < len(ids)`` and the pairs strictly increase, so none
+    repeats and adjacency rows fill in sorted order. Any other order raises
+    ``ValueError``.
+    """
 
     __slots__ = (
         "ids", "titles", "edge_endpoints", "edge_predicates",
@@ -321,17 +327,15 @@ class KnowledgeGraph:
             raise ValueError("predicate table size does not match edge table")
         n = len(ids)
         adjacency: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        seen = set()
-        for e, (u, v) in enumerate(edge_endpoints):
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge {e} references unknown node")
-            if u >= v:
-                raise ValueError(f"edge {e} endpoints not normalized (u < v)")
-            if (u, v) in seen:
-                raise ValueError(f"duplicate edge for node pair {(u, v)}")
+        previous = (-1, -1)
+        for e, pair in enumerate(edge_endpoints):
+            u, v = pair
+            if not (0 <= u < v < n and pair > previous):
+                raise ValueError(f"edge {e} {pair} breaks canonical order "
+                                 f"(0 <= u < v < {n}, after {previous})")
             if not edge_predicates[e]:
                 raise ValueError(f"edge {e} has an empty predicate list")
-            seen.add((u, v))
+            previous = pair
             adjacency[u].append((v, e))
             adjacency[v].append((u, e))
         self.ids = ids
@@ -341,8 +345,8 @@ class KnowledgeGraph:
         self._index = {ident: i for i, ident in enumerate(ids)}
         if len(self._index) != n:
             raise ValueError("node identifiers are not unique")
-        self._adjacency = tuple(tuple(sorted(row)) for row in adjacency)
-        self.degrees = tuple(len(row) for row in self._adjacency)
+        self._adjacency = tuple(map(tuple, adjacency))
+        self.degrees = tuple(map(len, adjacency))
         self.prune_stats = prune_stats
         self._title_lookup = None
 
@@ -429,34 +433,18 @@ class KnowledgeGraph:
                 raise ValueError(f"stale degree cache at node {i}")
 
 
+# Snapshot layout, version 1; every integer is little-endian and unsigned.
+#   header  _HEADER: magic, version, node count, edge count, predicate count
+#   strings the node ids, then the node titles, then the sorted predicate
+#           table; each is a _U32 byte length followed by its UTF-8 bytes
+#   edges   in canonical (u, v) order, each an _EDGE record (u, v, predicate
+#           count) followed by one _U32 predicate-table index per predicate
+# The file ends after the last edge.
 _MAGIC = b"SEDKGRPH"
 _VERSION = 1
-
-
-def _write_str(out: BinaryIO, s: str) -> None:
-    raw = s.encode("utf-8")
-    out.write(struct.pack("<I", len(raw)))
-    out.write(raw)
-
-
-class _Reader:
-    def __init__(self, fh: BinaryIO):
-        self.fh = fh
-
-    def exact(self, n: int) -> bytes:
-        data = self.fh.read(n)
-        if len(data) != n:
-            raise SnapshotError("truncated snapshot file")
-        return data
-
-    def u16(self) -> int:
-        return struct.unpack("<H", self.exact(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.exact(4))[0]
-
-    def string(self) -> str:
-        return self.exact(self.u32()).decode("utf-8")
+_HEADER = struct.Struct("<8sIIII")
+_U32 = struct.Struct("<I")
+_EDGE = struct.Struct("<IIH")
 
 
 def save_snapshot(g: KnowledgeGraph, path) -> None:
@@ -464,52 +452,57 @@ def save_snapshot(g: KnowledgeGraph, path) -> None:
     pred_table = sorted({p for preds in g.edge_predicates for p in preds})
     pred_index = {p: i for i, p in enumerate(pred_table)}
     with open(path, "wb") as out:
-        out.write(_MAGIC)
-        out.write(struct.pack("<I", _VERSION))
-        out.write(struct.pack("<III", len(g.ids), g.num_edges, len(pred_table)))
-        for ident in g.ids:
-            _write_str(out, ident)
-        for title in g.titles:
-            _write_str(out, title)
-        for p in pred_table:
-            _write_str(out, p)
-        for e, (u, v) in enumerate(g.edge_endpoints):
-            preds = g.edge_predicates[e]
-            out.write(struct.pack("<IIH", u, v, len(preds)))
+        out.write(_HEADER.pack(_MAGIC, _VERSION, len(g.ids), g.num_edges, len(pred_table)))
+        for s in (*g.ids, *g.titles, *pred_table):
+            raw = s.encode("utf-8")
+            out.write(_U32.pack(len(raw)))
+            out.write(raw)
+        for (u, v), preds in zip(g.edge_endpoints, g.edge_predicates):
+            out.write(_EDGE.pack(u, v, len(preds)))
             for p in preds:
-                out.write(struct.pack("<I", pred_index[p]))
+                out.write(_U32.pack(pred_index[p]))
 
 
 def load_snapshot(path) -> KnowledgeGraph:
-    """Load a snapshot written by save_snapshot."""
+    """Load a snapshot written by save_snapshot; raise SnapshotError if corrupt."""
     with open(path, "rb") as fh:
-        r = _Reader(fh)
-        magic = r.exact(len(_MAGIC))
-        if magic != _MAGIC:
-            raise SnapshotError(f"not a graph snapshot (magic {magic!r})")
-        version = r.u32()
+        buf = fh.read()
+    magic = buf[:len(_MAGIC)]
+    if magic != _MAGIC:
+        raise SnapshotError(f"not a graph snapshot (magic {magic!r})")
+    try:
+        _, version, n_nodes, n_edges, n_preds = _HEADER.unpack_from(buf)
         if version != _VERSION:
             raise SnapshotError(f"unsupported snapshot version {version}")
-        n_nodes = r.u32()
-        n_edges = r.u32()
-        n_preds = r.u32()
-        ids = tuple(r.string() for _ in range(n_nodes))
-        titles = tuple(r.string() for _ in range(n_nodes))
-        pred_table = [r.string() for _ in range(n_preds)]
-        endpoints = []
-        predicates = []
+        pos = _HEADER.size
+        strings = []
+        for _ in range(2 * n_nodes + n_preds):
+            (size,) = _U32.unpack_from(buf, pos)
+            pos += _U32.size + size
+            if pos > len(buf):
+                raise SnapshotError("truncated snapshot file")
+            strings.append(buf[pos - size:pos].decode("utf-8"))
+        pred_table = strings[2 * n_nodes:]
+        endpoints, predicates = [], []
         for _ in range(n_edges):
-            u, v, k = r.u32(), r.u32(), r.u16()
-            idxs = [r.u32() for _ in range(k)]
-            try:
-                preds = tuple(pred_table[i] for i in idxs)
-            except IndexError:
-                raise SnapshotError("predicate index out of range") from None
+            u, v, k = _EDGE.unpack_from(buf, pos)
+            pos += _EDGE.size
+            preds = []
+            for _ in range(k):
+                preds.append(pred_table[_U32.unpack_from(buf, pos)[0]])
+                pos += _U32.size
             endpoints.append((u, v))
-            predicates.append(preds)
-        if fh.read(1):
-            raise SnapshotError("trailing bytes after snapshot payload")
+            predicates.append(tuple(preds))
+    except struct.error:
+        raise SnapshotError("truncated snapshot file") from None
+    except IndexError:
+        raise SnapshotError("predicate index out of range") from None
+    except UnicodeDecodeError:
+        raise SnapshotError("snapshot string is not valid UTF-8") from None
+    if pos != len(buf):
+        raise SnapshotError("trailing bytes after snapshot payload")
     try:
-        return KnowledgeGraph(ids, titles, tuple(endpoints), tuple(predicates))
+        return KnowledgeGraph(strings[:n_nodes], strings[n_nodes:2 * n_nodes],
+                              endpoints, predicates)
     except ValueError as exc:
         raise SnapshotError(f"inconsistent snapshot: {exc}") from None

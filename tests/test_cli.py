@@ -84,6 +84,28 @@ def test_out_of_range_flag_is_input_error(synthetic_root, snapshot, tmp_path, ca
     assert err.startswith("error:") and value in err
 
 
+@pytest.mark.parametrize("command", ["ingest-stoplist", "score-annotations", "score-kg"])
+def test_non_utf8_input_is_input_error(synthetic_root, snapshot, tmp_path, capsys, command):
+    bad = tmp_path / "bad"
+    if command == "score-kg":
+        data = bytearray(snapshot.read_bytes())
+        data[28] = 0xFF  # first byte of the first node identifier
+        bad.write_bytes(bytes(data))
+    else:
+        bad.write_bytes(b"m.x\xff\xfe\n")
+    if command == "ingest-stoplist":
+        args = ["ingest", "--triples", str(synthetic_root / "kg.nt"), "--stoplist", str(bad)]
+    else:
+        args = ["score", "--corpus", str(synthetic_root),
+                "--kg", str(bad if command == "score-kg" else snapshot),
+                "--annotations", str(bad if command == "score-annotations"
+                                     else synthetic_root / "entities.tsv")]
+    rc = main(args + ["--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "not valid UTF-8" in err
+
+
 # ------------------------------------------------------------------ score
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,7 @@
 import gzip
 import hashlib
 import io
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from sedrec.errors import SnapshotError, UnknownNodeError
 from sedrec.kg import (
+    KnowledgeGraph,
     ParseTally,
     PruneConfig,
     build_graph,
@@ -287,6 +289,29 @@ def test_edge_between():
     assert g.edge_between(a, c) is None
 
 
+def test_constructor_accepts_canonical_edge_order():
+    g = KnowledgeGraph("abcd", "ABCD", [(0, 1), (0, 3), (1, 2), (1, 3), (2, 3)],
+                       [("p",)] * 5)
+    g.validate()
+    assert g.neighbors(3) == ((0, 1), (1, 3), (2, 4))
+    assert all(list(g.neighbors(i)) == sorted(g.neighbors(i)) for i in range(4))
+
+
+@pytest.mark.parametrize("edges", [
+    [(1, 2), (0, 1)],
+    [(0, 2), (0, 1)],
+    [(0, 1), (0, 1)],
+    [(1, 0)],
+    [(1, 1)],
+    [(0, 3)],
+    [(-1, 0)],
+], ids=["unsorted", "unsorted-v", "duplicate", "reversed", "self-loop", "unknown",
+        "negative"])
+def test_constructor_rejects_non_canonical_edges(edges):
+    with pytest.raises(ValueError, match="canonical order"):
+        KnowledgeGraph("abc", "ABC", edges, [("p",)] * len(edges))
+
+
 def test_title_lookup_is_case_insensitive_lowest_index():
     triples = [
         nt("a", "p", "b"), nt("b", "p", "c"),
@@ -346,6 +371,44 @@ def test_snapshot_wrong_version(tmp_path):
     path.write_bytes(bytes(data))
     with pytest.raises(SnapshotError):
         load_snapshot(path)
+
+
+def pack_snapshot(ids, edges, preds=("rel",)):
+    """v1 snapshot bytes, packed by hand; titles equal ids, each edge has predicate 0."""
+    out = [struct.pack("<8sIIII", b"SEDKGRPH", 1, len(ids), len(edges), len(preds))]
+    for s in (*ids, *ids, *preds):
+        raw = s.encode("utf-8")
+        out += [struct.pack("<I", len(raw)), raw]
+    out += [struct.pack("<IIHI", u, v, 1, 0) for u, v in edges]
+    return b"".join(out)
+
+
+def test_hand_packed_snapshot_matches_saved_bytes(tmp_path):
+    path = tmp_path / "g.snap"
+    save_snapshot(graph_from_edges([("a", "b"), ("b", "c")]), path)
+    assert path.read_bytes() == pack_snapshot("abc", [(0, 1), (1, 2)])
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"hello", "not a graph snapshot (magic b'hello')"),
+    (pack_snapshot("ab", [(0, 1)])[:-4] + struct.pack("<I", 1),
+     "predicate index out of range"),
+    (pack_snapshot("ab", [(0, 1)]) + b"\x00", "trailing bytes"),
+    (pack_snapshot("ab", [(0, 1)])[:24] + struct.pack("<I", 1000) + b"a",
+     "truncated snapshot file"),
+    (pack_snapshot("ab", [])[:-1], "truncated snapshot file"),
+    (pack_snapshot("ab", [(0, 1)]).replace(b"a", b"\xff", 1), "not valid UTF-8"),
+    (pack_snapshot("abc", [(1, 2), (0, 1)]), "inconsistent snapshot"),
+    (pack_snapshot("ab", [(0, 1), (0, 1)]), "inconsistent snapshot"),
+    (pack_snapshot("ab", [(1, 0)]), "inconsistent snapshot"),
+], ids=["short-magic", "predicate-index", "trailing", "string-past-end",
+        "last-string-past-end", "utf8", "unsorted-edges", "duplicate-edge", "reversed-edge"])
+def test_corrupt_snapshot_is_snapshot_error(tmp_path, data, message):
+    path = tmp_path / "bad.snap"
+    path.write_bytes(data)
+    with pytest.raises(SnapshotError) as exc:
+        load_snapshot(path)
+    assert message in str(exc.value)
 
 
 def test_build_graph_deterministic_bytes(tmp_path):
