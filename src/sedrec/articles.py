@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
 
+from .delimited import Number, read_table, write_table
 from .errors import InputDataError
 from .kg import KnowledgeGraph
 from .stopwords import STOP_WORDS
@@ -93,41 +94,12 @@ def load_annotations(path) -> dict[str, list[EntityAnnotation]]:
     path = Path(path)
     if not path.is_file():
         raise InputDataError(f"annotation file not found: {path}")
+    table = read_table(path, _ANNOTATION_HEADER, ["article_id", "entity_id"],
+                       {"count": Number(int, 1), "first_offset": Number(int, 0)}, "\t")
+    table.only("entity_type", set(ENTITY_TYPES), "unknown entity type")
     out: dict[str, list[EntityAnnotation]] = {}
-    seen: set[tuple[str, str]] = set()
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        if header != _ANNOTATION_HEADER:
-            raise InputDataError(
-                f"bad annotation header in {path}: expected "
-                f"{_ANNOTATION_HEADER}, got {header}"
-            )
-        for lineno, line in enumerate(fh, 2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cols = line.split("\t")
-            if len(cols) != 6:
-                raise InputDataError(f"{path}:{lineno}: expected 6 columns")
-            art, mention, ent, etype, count_s, offset_s = cols
-            if etype not in ENTITY_TYPES:
-                raise InputDataError(f"{path}:{lineno}: unknown entity type {etype!r}")
-            try:
-                count, offset = int(count_s), int(offset_s)
-            except ValueError:
-                raise InputDataError(f"{path}:{lineno}: non-integer count/offset") from None
-            if count < 1:
-                raise InputDataError(f"{path}:{lineno}: count must be >= 1")
-            if offset < 0:
-                raise InputDataError(f"{path}:{lineno}: negative offset")
-            if (art, ent) in seen:
-                raise InputDataError(
-                    f"{path}:{lineno}: duplicate annotation for ({art}, {ent})"
-                )
-            seen.add((art, ent))
-            out.setdefault(art, []).append(
-                EntityAnnotation(art, mention, ent, etype, count, offset)
-            )
+    for art, ann in zip(table.columns[0], map(EntityAnnotation, *table.columns)):
+        out.setdefault(art, []).append(ann)
     return out
 
 
@@ -236,10 +208,6 @@ def link_entities_exact(article: Article,
 
 def write_annotations(records: Iterable[EntityAnnotation], path) -> None:
     """Write entity annotations in the canonical TSV layout."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(_ANNOTATION_HEADER) + "\n")
-        for r in records:
-            fh.write(
-                f"{r.article_id}\t{r.mention}\t{r.entity_id}\t{r.entity_type}"
-                f"\t{r.count}\t{r.first_offset}\n"
-            )
+    write_table(path, _ANNOTATION_HEADER, (
+        [r.article_id, r.mention, r.entity_id, r.entity_type, r.count, r.first_offset]
+        for r in records), "\t")

@@ -19,8 +19,10 @@ from pathlib import Path
 
 from . import __version__
 from .articles import load_annotations
+from .delimited import Number, read_table
 from .errors import InputDataError
 from .evaluation import (
+    ANNOTATORS,
     AnnotationRecord,
     EvalCondition,
     evaluate_scores,
@@ -138,39 +140,20 @@ _LONG_HEADER = ["pair_id", "article_a", "article_b", "annotator", "q1", "q2"]
 
 def _convert_long_ratings(path: Path) -> list[AnnotationRecord]:
     """Pivot one-row-per-annotator ratings into the canonical wide records."""
-    acc: dict[str, dict] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for lineno, rec in enumerate(reader, 2):
-            if len(rec) != 6:
-                raise InputDataError(f"{path}:{lineno}: expected 6 columns")
-            pid, a, b, annotator_s, q1_s, q2_s = rec
-            try:
-                annotator, q1, q2 = int(annotator_s), int(q1_s), int(q2_s)
-            except ValueError:
-                raise InputDataError(f"{path}:{lineno}: non-integer field") from None
-            if not 1 <= annotator <= 6:
-                raise InputDataError(f"{path}:{lineno}: annotator must be 1..6")
-            if not 0 <= q1 <= 2 or not 0 <= q2 <= 1:
-                raise InputDataError(f"{path}:{lineno}: rating out of range")
-            entry = acc.setdefault(pid, {"a": a, "b": b, "q1": {}, "q2": {}})
-            if entry["a"] != a or entry["b"] != b:
-                raise InputDataError(f"{path}:{lineno}: inconsistent articles for {pid}")
-            if annotator in entry["q1"]:
-                raise InputDataError(f"{path}:{lineno}: duplicate annotator for {pid}")
-            entry["q1"][annotator] = q1
-            entry["q2"][annotator] = q2
+    # the key is checked on the parsed annotator, so "1" and "01" collide
+    table = read_table(path, _LONG_HEADER, ["pair_id", "annotator"], {
+        "annotator": Number(int, 1, ANNOTATORS), "q1": Number(int, 0, 2), "q2": Number(int, 0, 1)})
+    pairs: dict[str, tuple[str, str, dict[int, tuple[int, int]]]] = {}
+    for i, (pid, a, b, annotator, q1, q2) in enumerate(zip(*table.columns)):
+        if pairs.setdefault(pid, (a, b, {}))[:2] != (a, b):
+            raise table.fault(i, f"inconsistent articles for {pid}")
+        pairs[pid][2][annotator] = (q1, q2)
+    annotators = list(range(1, ANNOTATORS + 1))
     records = []
-    for pid in sorted(acc):
-        entry = acc[pid]
-        if sorted(entry["q1"]) != [1, 2, 3, 4, 5, 6]:
-            raise InputDataError(f"pair {pid}: expected ratings from 6 annotators")
-        records.append(AnnotationRecord(
-            pid, entry["a"], entry["b"],
-            tuple(entry["q1"][i] for i in range(1, 7)),
-            tuple(entry["q2"][i] for i in range(1, 7)),
-        ))
+    for pid, (a, b, votes) in sorted(pairs.items()):
+        if sorted(votes) != annotators:
+            raise InputDataError(f"pair {pid}: expected ratings from {ANNOTATORS} annotators")
+        records.append(AnnotationRecord(pid, a, b, *zip(*map(votes.get, annotators))))
     return records
 
 
@@ -426,6 +409,9 @@ def main(argv=None) -> int:
         return 2
     except UnicodeDecodeError as exc:
         print(f"error: an input file is not valid UTF-8: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # a path that cannot be read or written
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

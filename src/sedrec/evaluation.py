@@ -9,7 +9,6 @@ very similar).
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,6 +17,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .articles import Article, load_corpus
+from .delimited import Number, read_table, write_table
 from .errors import InputDataError
 
 log = logging.getLogger(__name__)
@@ -29,6 +29,7 @@ _HEADER = (
     + [f"q1_{i}" for i in range(1, ANNOTATORS + 1)]
     + [f"q2_{i}" for i in range(1, ANNOTATORS + 1)]
 )
+_RATINGS = {col: Number(int, 0, 2 if col.startswith("q1") else 1) for col in _HEADER[3:]}
 
 
 @dataclass(frozen=True)
@@ -94,47 +95,15 @@ STANDARD_CONDITIONS = (
 
 
 def write_ratings_csv(records: Iterable[AnnotationRecord], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_HEADER)
-        for r in records:
-            writer.writerow([r.pair_id, r.article_a, r.article_b, *r.q1, *r.q2])
+    write_table(path, _HEADER,
+                ([r.pair_id, r.article_a, r.article_b, *r.q1, *r.q2] for r in records))
 
 
 def read_ratings_csv(path) -> list[AnnotationRecord]:
     """Strict reader for the canonical ratings CSV."""
-    records = []
-    seen = set()
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _HEADER:
-            raise InputDataError(f"bad ratings header in {path}: got {header}")
-        for lineno, rec in enumerate(reader, 2):
-            if len(rec) != len(_HEADER):
-                raise InputDataError(
-                    f"{path}:{lineno}: expected {len(_HEADER)} columns, got {len(rec)}"
-                )
-            pid, a, b = rec[0], rec[1], rec[2]
-            if pid in seen:
-                raise InputDataError(f"{path}:{lineno}: duplicate pair id {pid!r}")
-            seen.add(pid)
-            q1, q2 = [], []
-            for col, value in zip(_HEADER[3:], rec[3:]):
-                try:
-                    iv = int(value)
-                except ValueError:
-                    raise InputDataError(
-                        f"{path}:{lineno}: column {col}: non-integer rating {value!r}"
-                    ) from None
-                limit = 2 if col.startswith("q1") else 1
-                if not 0 <= iv <= limit:
-                    raise InputDataError(
-                        f"{path}:{lineno}: column {col}: rating {iv} out of range"
-                    )
-                (q1 if col.startswith("q1") else q2).append(iv)
-            records.append(AnnotationRecord(pid, a, b, tuple(q1), tuple(q2)))
-    return records
+    cols = read_table(path, _HEADER, ["pair_id"], _RATINGS).columns
+    q1, q2 = cols[3:3 + ANNOTATORS], cols[3 + ANNOTATORS:]
+    return list(map(AnnotationRecord, *cols[:3], zip(*q1), zip(*q2)))
 
 
 def load_cnrec(root, expect_articles: int | None = 300,
@@ -293,27 +262,15 @@ class MetricsReport:
     ]
 
     def write_metrics_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(self._METRICS_HEADER)
-            for (method, cond), m in sorted(self.entries.items()):
-                writer.writerow([
-                    method, cond, m.tp, m.fp, m.tn, m.fn,
-                    repr(m.precision), repr(m.recall), repr(m.f1),
-                    int(m.precision_defined), int(m.recall_defined),
-                ])
+        write_table(path, self._METRICS_HEADER, (
+            [method, cond, m.tp, m.fp, m.tn, m.fn, m.precision, m.recall, m.f1,
+             int(m.precision_defined), int(m.recall_defined)]
+            for (method, cond), m in sorted(self.entries.items())))
 
     def write_correlations_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["method", "pearson", "spearman"])
-            for method in sorted(self.correlations):
-                p, s = self.correlations[method]
-                writer.writerow([
-                    method,
-                    "" if p is None else repr(p),
-                    "" if s is None else repr(s),
-                ])
+        # a None coefficient (constant input) is written as an empty field
+        write_table(path, ["method", "pearson", "spearman"],
+                    ([m, *self.correlations[m]] for m in sorted(self.correlations)))
 
     def format_table(self) -> str:
         """Side-by-side F1 table: one row per condition, one column per method."""

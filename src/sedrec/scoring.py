@@ -22,7 +22,6 @@ ids change only the heap's tie order, not the distance values.
 
 from __future__ import annotations
 
-import csv
 import heapq
 import logging
 import math
@@ -44,6 +43,7 @@ from .articles import (
     seed_ids,
     tfidf_vectors,
 )
+from .delimited import Number, read_table, write_table
 from .errors import InputDataError
 from .kg import KnowledgeGraph
 from .subgraph import ExpansionConfig, SubGraph, expand, union
@@ -311,11 +311,7 @@ class ScoreTable:
     stats: dict[str, MethodStats] = field(default_factory=dict)
 
     def methods(self) -> list[str]:
-        seen = []
-        for r in self.rows:
-            if r.method not in seen:
-                seen.append(r.method)
-        return seen
+        return list(dict.fromkeys(r.method for r in self.rows))
 
     def column(self, method: str) -> dict[str, PairScore]:
         out = {r.pair_id: r for r in self.rows if r.method == method}
@@ -331,35 +327,17 @@ class ScoreTable:
         self.stats.update(other.stats)
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(_SCORE_HEADER)
-            for r in sorted(self.rows, key=lambda r: (r.method, r.pair_id)):
-                writer.writerow([
-                    r.pair_id, r.method, repr(r.raw_distance),
-                    repr(r.z_score), "1" if r.decision else "0",
-                ])
+        write_table(path, _SCORE_HEADER, (
+            [r.pair_id, r.method, r.raw_distance, r.z_score, int(r.decision)]
+            for r in sorted(self.rows, key=lambda r: (r.method, r.pair_id))))
 
     @classmethod
     def read_csv(cls, path) -> "ScoreTable":
-        rows = []
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != _SCORE_HEADER:
-                raise InputDataError(f"bad score CSV header in {path}: {header}")
-            for lineno, rec in enumerate(reader, 2):
-                if len(rec) != 5:
-                    raise InputDataError(f"{path}:{lineno}: expected 5 columns")
-                pid, method, raw_s, z_s, dec_s = rec
-                if dec_s not in ("0", "1"):
-                    raise InputDataError(f"{path}:{lineno}: bad decision {dec_s!r}")
-                try:
-                    raw, z = float(raw_s), float(z_s)
-                except ValueError:
-                    raise InputDataError(f"{path}:{lineno}: bad float") from None
-                rows.append(PairScore(pid, method, raw, z, dec_s == "1"))
-        return cls(rows=rows)
+        table = read_table(path, _SCORE_HEADER, ["pair_id", "method"],
+                           {"raw_distance": Number(), "z_score": Number()})
+        table.only("decision", {"0", "1"}, "bad decision")
+        *cols, decisions = table.columns
+        return cls(rows=list(map(PairScore, *cols, [d == "1" for d in decisions])))
 
 
 def table_from_raw(method: str, raw: Mapping[str, float],
@@ -367,10 +345,9 @@ def table_from_raw(method: str, raw: Mapping[str, float],
     """Build a score table from raw distances: z-normalize, decide at z < 0."""
     pids = sorted(raw)
     z, mean, std = znormalize([raw[p] for p in pids])
-    rows = [
-        PairScore(p, method, float(raw[p]), float(zv), bool(zv < 0.0))
-        for p, zv in zip(pids, z)
-    ]
+    # tolist() gives Python floats, so no numpy scalar is made per pair
+    rows = [PairScore(p, method, float(raw[p]), zv, zv < 0.0)
+            for p, zv in zip(pids, z.tolist())]
     return ScoreTable(rows=rows, stats={method: MethodStats(mean, std, max_finite)})
 
 
@@ -488,29 +465,10 @@ def import_embedding_scores(path, expected_pairs: Iterable[str],
                             method: str = "embedding") -> ScoreTable:
     """Load precomputed embedding distances (CSV of pair_id,distance)."""
     expected = set(expected_pairs)
-    raw: dict[str, float] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["pair_id", "distance"]:
-            raise InputDataError(f"bad embedding CSV header in {path}: {header}")
-        for lineno, rec in enumerate(reader, 2):
-            if len(rec) != 2:
-                raise InputDataError(f"{path}:{lineno}: expected 2 columns")
-            pid, dist_s = rec
-            if pid not in expected:
-                raise InputDataError(f"{path}:{lineno}: unknown pair id {pid!r}")
-            if pid in raw:
-                raise InputDataError(f"{path}:{lineno}: duplicate pair id {pid!r}")
-            try:
-                dist = float(dist_s)
-            except ValueError:
-                raise InputDataError(f"{path}:{lineno}: bad distance {dist_s!r}") from None
-            if not 0.0 <= dist <= 1.0:
-                raise InputDataError(
-                    f"{path}:{lineno}: distance {dist} outside [0, 1]"
-                )
-            raw[pid] = dist
+    table = read_table(path, ["pair_id", "distance"], ["pair_id"],
+                       {"distance": Number(float, 0.0, 1.0)})
+    table.only("pair_id", expected, "unknown pair id")
+    raw = dict(zip(*table.columns))
     missing = sorted(expected - set(raw))
     if missing:
         raise InputDataError(f"embedding file lacks {len(missing)} pairs (e.g. {missing[:5]})")

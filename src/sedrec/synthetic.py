@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .articles import Article, link_entities_exact, write_annotations
+from .delimited import write_table
 from .evaluation import AnnotationRecord, write_ratings_csv
 from .stopwords import STOP_WORDS
 
@@ -302,13 +303,13 @@ def _write_kg(path: Path, rng: random.Random, worlds, globals_) -> None:
 
 
 def _write_embeddings(path: Path, rng: random.Random, records) -> None:
-    rows = ["pair_id,distance"]
+    rows = []
     for r in records:
         same_group = int(r.article_a[1:]) // 10 == int(r.article_b[1:]) // 10
         base = 0.35 if same_group else 0.85
         d = min(max(rng.gauss(base, 0.08), 0.0), 1.0)
-        rows.append(f"{r.pair_id},{d:.6f}")
-    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        rows.append([r.pair_id, f"{d:.6f}"])
+    write_table(path, ["pair_id", "distance"], rows)
 
 
 def generate_benchmark(root, seed: int = DEFAULT_SEED, groups: int = 30,

@@ -9,7 +9,6 @@ computed from whole-graph predicate statistics.
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
 from enum import Enum
 
 import numpy as np
@@ -42,16 +41,35 @@ def rws_cost(g: KnowledgeGraph, source: int, target: int) -> float:
     return 1.0 - len(ns & g.closed_neighborhood(target)) / len(ns)
 
 
-def _predicate_stats(g: KnowledgeGraph) -> tuple[Counter, dict[str, set[int]]]:
-    counts: Counter = Counter()
-    incident: dict[str, set[int]] = defaultdict(set)
-    for e, preds in enumerate(g.edge_predicates):
-        u, v = g.edge_endpoints[e]
-        for p in preds:
-            counts[p] += 1
-            incident[p].add(u)
-            incident[p].add(v)
-    return counts, incident
+def _incidence(g: KnowledgeGraph):
+    """Predicate names by id, each (edge, predicate)'s predicate id, each edge's
+    predicate count, and ``predicate * len(g) + node`` keys: all u, then all v."""
+    names: dict[str, int] = {}
+    pred = np.fromiter((names.setdefault(p, len(names))
+                        for preds in g.edge_predicates for p in preds), dtype=np.int64)
+    width = np.fromiter(map(len, g.edge_predicates), dtype=np.int64, count=g.num_edges)
+    ends = np.repeat(np.array(g.edge_endpoints, dtype=np.int64), width, axis=0)
+    key = pred * len(g)
+    return list(names), pred, width, np.concatenate([key + ends[:, 0], key + ends[:, 1]])
+
+
+def _frequency(g: KnowledgeGraph, scheme: WeightingScheme, pred: np.ndarray,
+               keys: np.ndarray) -> list[float]:
+    """Normalized scores by predicate id: each log from ``math.log``."""
+    if scheme not in (WeightingScheme.AF, WeightingScheme.IAF, WeightingScheme.AF_IAF):
+        raise ValueError(f"{scheme} is not a frequency scheme")
+    counts = np.bincount(pred)
+    af = (counts / counts.max()).tolist()
+    # incident nodes per predicate: its distinct (predicate, node) keys, found
+    # by sorting, since the first np.unique call costs about 1 MB of RSS
+    keys = np.sort(keys)
+    distinct = keys[np.diff(keys, prepend=-1) != 0]
+    raw = [math.log(len(g) / k) for k in np.bincount(distinct // len(g)).tolist()]
+    mx = max(raw)
+    iaf = [r / mx if mx > 0.0 else 0.0 for r in raw]
+    if scheme is WeightingScheme.AF_IAF:
+        return [a * i for a, i in zip(af, iaf)]
+    return af if scheme is WeightingScheme.AF else iaf
 
 
 def frequency_scores(g: KnowledgeGraph, scheme: WeightingScheme) -> dict[str, float]:
@@ -61,24 +79,10 @@ def frequency_scores(g: KnowledgeGraph, scheme: WeightingScheme) -> dict[str, fl
     favors rare ones (log of node count over incident nodes, scaled by its
     maximum); AF-IAF multiplies the two.
     """
-    counts, incident = _predicate_stats(g)
-    if not counts:
+    if not g.num_edges:
         return {}
-    if scheme is WeightingScheme.AF:
-        mx = max(counts.values())
-        return {p: c / mx for p, c in counts.items()}
-    if scheme is WeightingScheme.IAF:
-        n = len(g)
-        raw = {p: math.log(n / len(incident[p])) for p in counts}
-        mx = max(raw.values())
-        if mx <= 0.0:
-            return {p: 0.0 for p in counts}
-        return {p: r / mx for p, r in raw.items()}
-    if scheme is WeightingScheme.AF_IAF:
-        af = frequency_scores(g, WeightingScheme.AF)
-        iaf = frequency_scores(g, WeightingScheme.IAF)
-        return {p: af[p] * iaf[p] for p in af}
-    raise ValueError(f"{scheme} is not a frequency scheme")
+    names, pred, _, keys = _incidence(g)
+    return dict(zip(names, _frequency(g, scheme, pred, keys)))
 
 
 def frequency_costs(g: KnowledgeGraph, scheme: WeightingScheme) -> tuple[float, ...]:
@@ -87,10 +91,12 @@ def frequency_costs(g: KnowledgeGraph, scheme: WeightingScheme) -> tuple[float, 
     An edge costs one minus the best (highest) score among its collapsed
     predicates, so favored predicates make cheap edges.
     """
-    scores = frequency_scores(g, scheme)
-    return tuple(
-        1.0 - max(scores[p] for p in preds) for preds in g.edge_predicates
-    )
+    if not g.num_edges:
+        return ()
+    _, pred, width, keys = _incidence(g)
+    best = np.maximum.reduceat(np.array(_frequency(g, scheme, pred, keys))[pred],
+                               np.cumsum(width) - width)
+    return tuple((1.0 - best).tolist())
 
 
 def joint_ic_costs(g: KnowledgeGraph) -> tuple[float, ...]:
@@ -109,17 +115,12 @@ def joint_ic_costs(g: KnowledgeGraph) -> tuple[float, ...]:
     """
     if not g.num_edges:
         return ()
-    names: dict[str, int] = {}
-    pred = np.fromiter((names.setdefault(p, len(names))
-                        for preds in g.edge_predicates for p in preds), dtype=np.int64)
-    width = np.fromiter(map(len, g.edge_predicates), dtype=np.int64, count=g.num_edges)
-    ends = np.repeat(np.array(g.edge_endpoints, dtype=np.int64), width, axis=0)
+    _, pred, width, keys = _incidence(g)
     counts = np.bincount(pred).tolist()
     total = sum(counts)
     # (predicate, node) incidence counts, then each orientation's object degree
-    key = pred * len(g)
-    _, slot = np.unique(np.concatenate([key + ends[:, 0], key + ends[:, 1]]),
-                        return_inverse=True)
+    _, slot = np.unique(keys, return_inverse=True)
+    del keys  # 16 bytes per incidence: freed before the next peak
     degree = np.bincount(slot)[slot]
     span = int(degree.max()) + 1
     keys, which = np.unique(np.concatenate([pred, pred]) * span + degree,

@@ -4,7 +4,8 @@ Everything here deliberately avoids the package's traversal and aggregation
 code paths: shortest distances come from exhaustive simple-path enumeration
 or from a full Dijkstra over the whole union graph, neighborhood overlap
 costs are recomputed from raw adjacency sets, the JointIC table is the
-per-orientation loop of its definition, and the article-distance aggregates
+per-orientation loop of its definition, the frequency tables are the
+per-predicate loops of theirs, and the article-distance aggregates
 follow their definitions directly.
 """
 
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import Counter, deque
+from collections import Counter, defaultdict, deque
 
 
 def enum_shortest_from(n_nodes, directed_cost, adjacency, source):
@@ -105,6 +106,28 @@ def joint_ic_loop(g):
     if hi == lo:
         return tuple(0.0 for _ in ics)
     return tuple(1.0 - (ic - lo) / (hi - lo) for ic in ics)
+
+
+def frequency_loop(g, scheme):
+    """AF / IAF / AF-IAF per-predicate scores and per-edge costs by looping
+    over every edge's predicates; ``scheme`` is "af", "iaf" or "af-iaf"."""
+    counts = Counter()
+    incident = defaultdict(set)
+    for (u, v), preds in zip(g.edge_endpoints, g.edge_predicates):
+        for p in preds:
+            counts[p] += 1
+            incident[p].update((u, v))
+    if not counts:
+        return {}, ()
+    mx = max(counts.values())
+    af = {p: c / mx for p, c in counts.items()}
+    raw = {p: math.log(len(g) / len(incident[p])) for p in counts}
+    mx = max(raw.values())
+    iaf = {p: (r / mx if mx > 0.0 else 0.0) for p, r in raw.items()}
+    scores = {"af": af, "iaf": iaf,
+              "af-iaf": {p: af[p] * iaf[p] for p in af}}[scheme]
+    return scores, tuple(1.0 - max(scores[p] for p in preds)
+                         for preds in g.edge_predicates)
 
 
 def bfs_hops(adjacency, source):

@@ -106,6 +106,25 @@ def test_non_utf8_input_is_input_error(synthetic_root, snapshot, tmp_path, capsy
     assert err.startswith("error:") and "not valid UTF-8" in err
 
 
+@pytest.mark.parametrize("case", ["score-out-in-missing-dir", "ingest-out-in-missing-dir",
+                                  "score-kg-is-a-directory"])
+def test_unusable_path_is_input_error(synthetic_root, snapshot, tmp_path, capsys, case):
+    out = tmp_path / "nodir" / "out"
+    if case == "ingest-out-in-missing-dir":
+        args = ["ingest", "--triples", str(synthetic_root / "kg.nt"),
+                "--min-out-degree", "0", "--out", str(out)]
+    elif case == "score-out-in-missing-dir":
+        args = ["score", "--corpus", str(synthetic_root), "--method", "tfidf",
+                "--out", str(out)]
+    else:
+        args = ["score", "--corpus", str(synthetic_root), "--kg", str(tmp_path),
+                "--annotations", str(synthetic_root / "entities.tsv"),
+                "--out", str(tmp_path / "x.csv")]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "internal error" not in err
+
+
 # ------------------------------------------------------------------ score
 
 @pytest.fixture(scope="module")
@@ -264,6 +283,33 @@ def test_evaluate_rejects_missing_pair(synthetic_root, sed_scores, tmp_path, cap
     assert rc == 2
     err = capsys.readouterr().err
     assert "missing" in err and "p" in err
+
+
+@pytest.mark.parametrize("fault, column, value", [
+    ("repeated-row", None, None),
+    ("nan-raw", 2, "nan"),
+    ("inf-raw", 2, "inf"),
+    ("nan-z", 3, "nan"),
+    ("inf-z", 3, "-inf"),
+], ids=["repeated-row", "nan-raw", "inf-raw", "nan-z", "inf-z"])
+def test_evaluate_rejects_bad_score_csv(synthetic_root, tfidf_scores, tmp_path, capsys,
+                                        fault, column, value):
+    lines = tfidf_scores.read_text().splitlines()
+    if column is None:
+        lines.append(lines[1])
+    else:
+        fields = lines[5].split(",")
+        fields[column] = value
+        lines[5] = ",".join(fields)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    rc = main(["evaluate", "--scores", str(bad), "--cnrec", str(synthetic_root),
+               "--out-metrics", str(tmp_path / "m.csv"),
+               "--out-correlations", str(tmp_path / "c.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}:{len(lines) if column is None else 6}: ")
+    assert not (tmp_path / "c.csv").exists()
 
 
 def test_evaluate_rejects_unknown_condition(synthetic_root, sed_scores, capsys):

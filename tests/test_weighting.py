@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sedrec.kg import KnowledgeGraph
@@ -16,7 +16,7 @@ from sedrec.weighting import (
 
 from helpers import graph_from_edges
 
-from oracles import joint_ic_loop, overlap_cost
+from oracles import frequency_loop, joint_ic_loop, overlap_cost
 
 
 def neighbor_sets(g):
@@ -265,6 +265,19 @@ def test_joint_ic_costs_in_unit_interval(g):
 def test_joint_ic_costs_equal_loop_oracle(g):
     got = joint_ic_costs(g)
     assert got == joint_ic_loop(g)
+    assert all(type(c) is float for c in got)
+
+
+@given(random_graph(), st.sampled_from([WeightingScheme.AF, WeightingScheme.IAF,
+                                        WeightingScheme.AF_IAF]))
+@example(KnowledgeGraph([], [], [], []), WeightingScheme.AF)
+@example(KnowledgeGraph(["n"], ["N"], [], []), WeightingScheme.AF_IAF)
+@settings(max_examples=80)
+def test_frequency_tables_equal_loop_oracle(g, scheme):
+    scores, costs = frequency_loop(g, scheme.value)
+    assert frequency_scores(g, scheme) == scores
+    got = frequency_costs(g, scheme)
+    assert got == costs
     assert all(type(c) is float for c in got)
 
 
