@@ -4,6 +4,7 @@ Each reader is driven through the same cases: a short row, a repeated key, a
 blank line (skipped) and a bad number (named by column and ``path:line``).
 """
 
+import csv
 import re
 
 import pytest
@@ -129,6 +130,13 @@ def test_bad_header_is_line_one(tmp_path):
     path = tmp_path / "e.csv"
     path.write_text("pair,distance\np1,0.5\n")
     with pytest.raises(InputDataError, match=r"e\.csv:1: expected the header"):
+        import_embedding_scores(path, ["p1"])
+
+
+def test_unparsable_line_names_its_line(tmp_path):
+    path = tmp_path / "e.csv"
+    path.write_text("pair_id,distance\np1,0.5\n" + "p" * (csv.field_size_limit() + 1) + ",0.5\n")
+    with pytest.raises(InputDataError, match=r"e\.csv:3: field larger than field limit"):
         import_embedding_scores(path, ["p1"])
 
 
