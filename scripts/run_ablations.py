@@ -21,11 +21,14 @@ from sedrec.evaluation import (
 )
 from sedrec.kg import PruneConfig, build_graph, parse_ntriples
 from sedrec.scoring import (
+    PassOne,
     ScoringConfig,
     SedVariant,
     ensemble,
     import_embedding_scores,
-    score_sed,
+    pass_one,
+    pass_one_key,
+    score_from,
     score_tfidf,
 )
 from sedrec.subgraph import ExpansionConfig
@@ -53,7 +56,6 @@ def print_table(title: str, rows: dict[str, list[str]]) -> None:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--root", help="benchmark root (generated when omitted)")
-    parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args()
 
     if args.root:
@@ -70,10 +72,14 @@ def main() -> None:
                      PruneConfig(english_only=True, min_out_degree=0))
     print(f"graph: {len(kg)} nodes, {kg.num_edges} edges")
 
+    # configs that differ only in variant, penalty or direction share a pass one
+    passes: dict[tuple, PassOne] = {}
+
     def sed_decisions(cfg: ScoringConfig, label="sed"):
-        table = score_sed(kg, articles, pairs, annotations, cfg,
-                          jobs=args.jobs, method=label)
-        col = table.column(label)
+        key = pass_one_key(cfg)
+        if key not in passes:
+            passes[key] = pass_one(kg, articles, pairs, annotations, cfg)
+        col = score_from(passes[key], cfg, method=label).column(label)
         return ({p: s.decision for p, s in col.items()},
                 {p: s.z_score for p, s in col.items()})
 

@@ -101,9 +101,22 @@ def _require_file(path, what: str) -> Path:
     return p
 
 
+def _require_writable_dirs(*outputs) -> None:
+    """Check, before any work, that each output path's directory can take it."""
+    for out in outputs:
+        if out is None:
+            continue
+        parent = Path(out).parent
+        if not parent.is_dir():
+            raise InputDataError(f"output directory not found: {parent}")
+        if not os.access(parent, os.W_OK):
+            raise InputDataError(f"output directory is not writable: {parent}")
+
+
 # ---------------------------------------------------------------- ingest
 
 def cmd_ingest(args) -> int:
+    _require_writable_dirs(args.out)
     triples_path = _require_file(args.triples, "triples file")
     stoplist = frozenset()
     if args.stoplist:
@@ -193,6 +206,7 @@ def _parse_drop_types(text: str) -> frozenset[str]:
 
 
 def cmd_score(args) -> int:
+    _require_writable_dirs(args.out)
     corpus_root = _require_file(args.corpus, "corpus root")
     articles, records = load_cnrec(corpus_root, expect_articles=None,
                                    expect_pairs=None)
@@ -229,14 +243,14 @@ def cmd_score(args) -> int:
             )
         except ValueError as exc:
             raise InputDataError(f"bad option value: {exc}") from None
-        table = score_sed(kg, articles, pairs, annotations, cfg, jobs=args.jobs,
+        table = score_sed(kg, articles, pairs, annotations, cfg,
                           method=args.label or "sed")
         config = {
             "method": "sed", "variant": args.variant, "penalty": args.penalty,
             "weighting": args.weighting, "hops": args.hops,
             "top_entities": args.top_entities, "drop_types": args.drop_types,
             "context_words": args.context_words,
-            "reverse_direction": args.reverse_direction, "jobs": args.jobs,
+            "reverse_direction": args.reverse_direction,
             "normalization": {
                 m: {"mean": s.mean, "std": s.std, "max_finite": s.max_finite}
                 for m, s in table.stats.items()
@@ -273,6 +287,9 @@ def _with_ensemble(table: ScoreTable, spec: str | None) -> ScoreTable:
     members = [m.strip() for m in spec.split(",") if m.strip()]
     if len(members) < 2:
         raise InputDataError("--ensemble needs at least two method names")
+    repeated = sorted({m for m in members if members.count(m) > 1})
+    if repeated:
+        raise InputDataError(f"--ensemble names a method more than once: {repeated}")
     missing = [m for m in members if m not in table.methods()]
     if missing:
         raise InputDataError(f"--ensemble names methods no score file holds: {missing}")
@@ -312,6 +329,7 @@ def _report(args, ensemble_spec: str | None):
 
 
 def cmd_evaluate(args) -> int:
+    _require_writable_dirs(args.out_metrics, args.out_correlations)
     report, config, inputs = _report(args, args.ensemble)
     config["ensemble"] = args.ensemble
     report.write_metrics_csv(args.out_metrics)
@@ -322,6 +340,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    _require_writable_dirs(args.out)
     report, config, inputs = _report(args, None)
     if args.out:
         report.write_metrics_csv(args.out)
@@ -372,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--drop-types", default="LOC,GPE",
                    help="entity types to screen out, or 'none'")
     p.add_argument("--context-words", type=int, default=2)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--label", help="method label override for the output column")
     p.set_defaults(func=cmd_score)
 

@@ -1,14 +1,16 @@
 """Pairwise article distances: entity-set shortest distances over union
 subgraphs, cosine baselines, z-normalization, and score tables.
 
-Article distances are computed in two passes. Pass one calls
+Article distances are computed in two passes. Pass one (``pass_one``) calls
 ``pair_matrices`` for every evaluated pair: raw seed-to-seed distances over
 the pair's union graph, in both directions, so the corpus-wide maximum finite
 path cost is shared by all variants and their cross-run identities hold
-exactly. Pass two calls ``aggregate`` per pair: it normalizes raw costs onto
+exactly. Its ``PassOne`` result depends only on expansion, weighting,
+screening and context words, and can be aggregated many times. Pass two
+(``score_from``) calls ``aggregate`` per pair: it normalizes raw costs onto
 [0, 1], substitutes the disconnection penalty for unreachable or unresolvable
-seeds, and applies the ROW/SYM/AVG rule. ``sed_variant`` is the same two
-steps for a single pair.
+seeds, and applies the ROW/SYM/AVG rule. ``score_sed`` runs both passes;
+``sed_variant`` is the same two steps for a single pair.
 
 Every distance runs over a weighted core graph (``_core``): the union on
 local ids after repeatedly dropping members of union degree <= 1 that are
@@ -382,7 +384,7 @@ def compute_seed_sets(articles: Mapping[str, Article],
     return out
 
 
-# worker context inherited through fork; see score_sed
+# worker context inherited through fork; see pass_one
 _PAIR_CTX: dict | None = None
 
 
@@ -406,17 +408,33 @@ def _run_pair_pass(pairs: list[Pair], jobs: int):
     return [_pair_matrices(p) for p in pairs]
 
 
-def score_sed(kg: KnowledgeGraph, articles: Mapping[str, Article],
-              pairs: Sequence[Pair],
-              annotations: Mapping[str, list[EntityAnnotation]],
-              cfg: ScoringConfig, jobs: int = 1,
-              method: str = "sed") -> ScoreTable:
-    """Score every article pair under the configured distance variant.
+_PASS_ONE_FIELDS = ("expansion", "weighting", "screening", "context_words")
 
-    Pass one runs ``pair_matrices`` for each pair (both directions, so the
-    normalization constant is variant-independent) and takes the corpus-wide
-    maximum finite cost; pass two is one ``aggregate`` call per pair. Results
-    do not depend on ``jobs``.
+
+def pass_one_key(cfg: ScoringConfig) -> tuple:
+    """The settings pass one depends on: all but variant, penalty and direction."""
+    return tuple(getattr(cfg, f) for f in _PASS_ONE_FIELDS)
+
+
+@dataclass(frozen=True)
+class PassOne:
+    """Raw forward and backward seed-to-seed matrices of every pair, the
+    corpus-wide maximum finite cost, and the ``pass_one_key`` they were built
+    under."""
+    key: tuple
+    matrices: dict[str, tuple[list[list[float]], list[list[float]]]]
+    max_finite: float
+
+
+def pass_one(kg: KnowledgeGraph, articles: Mapping[str, Article],
+             pairs: Sequence[Pair],
+             annotations: Mapping[str, list[EntityAnnotation]],
+             cfg: ScoringConfig, jobs: int = 1) -> PassOne:
+    """Run ``pair_matrices`` for every pair and take the corpus-wide maximum.
+
+    Both directions are kept, so the normalization constant and the matrices
+    serve every variant, penalty and direction. Results do not depend on
+    ``jobs``.
     """
     global _PAIR_CTX
     if len(pairs) < 2:
@@ -441,9 +459,32 @@ def score_sed(kg: KnowledgeGraph, articles: Mapping[str, Article],
                       for row in mat for d in row if math.isfinite(d)), default=0.0)
     if max_finite <= 0.0:
         max_finite = 1.0
+    return PassOne(pass_one_key(cfg),
+                   {pid: (mat_f, mat_b) for pid, mat_f, mat_b in results}, max_finite)
 
-    raw = {pid: aggregate(mat_f, mat_b, cfg, max_finite) for pid, mat_f, mat_b in results}
-    return table_from_raw(method, raw, max_finite=max_finite)
+
+def score_from(p1: PassOne, cfg: ScoringConfig, method: str = "sed") -> ScoreTable:
+    """Pass two: one ``aggregate`` per pair, then z-normalization.
+
+    ``cfg`` may differ from the pass one's settings only in variant, penalty
+    and direction.
+    """
+    differ = [f for f, have, want in zip(_PASS_ONE_FIELDS, p1.key, pass_one_key(cfg))
+              if have != want]
+    if differ:
+        raise ValueError(f"pass one was built under other settings: {differ}")
+    raw = {pid: aggregate(mat_f, mat_b, cfg, p1.max_finite)
+           for pid, (mat_f, mat_b) in p1.matrices.items()}
+    return table_from_raw(method, raw, max_finite=p1.max_finite)
+
+
+def score_sed(kg: KnowledgeGraph, articles: Mapping[str, Article],
+              pairs: Sequence[Pair],
+              annotations: Mapping[str, list[EntityAnnotation]],
+              cfg: ScoringConfig, jobs: int = 1,
+              method: str = "sed") -> ScoreTable:
+    """Score every article pair under the configured distance variant."""
+    return score_from(pass_one(kg, articles, pairs, annotations, cfg, jobs), cfg, method)
 
 
 def score_tfidf(articles: Mapping[str, Article], pairs: Sequence[Pair],

@@ -107,15 +107,30 @@ def test_non_utf8_input_is_input_error(synthetic_root, snapshot, tmp_path, capsy
 
 
 @pytest.mark.parametrize("case", ["score-out-in-missing-dir", "ingest-out-in-missing-dir",
+                                  "sed-score-out-in-missing-dir",
+                                  "evaluate-correlations-in-missing-dir",
                                   "score-kg-is-a-directory"])
-def test_unusable_path_is_input_error(synthetic_root, snapshot, tmp_path, capsys, case):
+def test_unusable_path_is_input_error(synthetic_root, snapshot, tfidf_scores, tmp_path,
+                                      capsys, monkeypatch, case):
     out = tmp_path / "nodir" / "out"
+    metrics = tmp_path / "metrics.csv"
     if case == "ingest-out-in-missing-dir":
         args = ["ingest", "--triples", str(synthetic_root / "kg.nt"),
                 "--min-out-degree", "0", "--out", str(out)]
     elif case == "score-out-in-missing-dir":
         args = ["score", "--corpus", str(synthetic_root), "--method", "tfidf",
                 "--out", str(out)]
+    elif case == "sed-score-out-in-missing-dir":
+        def no_scoring(*args, **kwargs):
+            raise AssertionError("scored before checking the output directory")
+
+        monkeypatch.setattr("sedrec.cli.score_sed", no_scoring)
+        args = ["score", "--corpus", str(synthetic_root), "--kg", str(snapshot),
+                "--annotations", str(synthetic_root / "entities.tsv"),
+                "--out", str(out)]
+    elif case == "evaluate-correlations-in-missing-dir":
+        args = ["evaluate", "--scores", str(tfidf_scores), "--cnrec", str(synthetic_root),
+                "--out-metrics", str(metrics), "--out-correlations", str(out)]
     else:
         args = ["score", "--corpus", str(synthetic_root), "--kg", str(tmp_path),
                 "--annotations", str(synthetic_root / "entities.tsv"),
@@ -123,6 +138,7 @@ def test_unusable_path_is_input_error(synthetic_root, snapshot, tmp_path, capsys
     assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "internal error" not in err
+    assert not metrics.exists()
 
 
 # ------------------------------------------------------------------ score
@@ -184,17 +200,6 @@ def test_score_env_var_supplies_kg(synthetic_root, snapshot, tmp_path, monkeypat
         "--out", str(out),
     ])
     assert rc == 0 and out.exists()
-
-
-def test_score_jobs_identical_output(synthetic_root, snapshot, tmp_path):
-    args = [
-        "score", "--corpus", str(synthetic_root), "--kg", str(snapshot),
-        "--annotations", str(synthetic_root / "entities.tsv"),
-    ]
-    serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
-    assert main(args + ["--out", str(serial), "--jobs", "1"]) == 0
-    assert main(args + ["--out", str(parallel), "--jobs", "4"]) == 0
-    assert serial.read_bytes() == parallel.read_bytes()
 
 
 def test_score_row_directions_average_to_sym(synthetic_root, snapshot, tmp_path):
@@ -266,12 +271,16 @@ def test_evaluate_emits_metrics_and_correlations(
     assert (tmp_path / "metrics.csv.manifest.json").exists()
 
 
-def test_evaluate_rejects_unknown_ensemble_member(synthetic_root, tfidf_scores, capsys):
+@pytest.mark.parametrize("spec, named", [("tfidf,nosuch", "nosuch"),
+                                         ("tfidf,tfidf", "tfidf")],
+                         ids=["unknown", "repeated"])
+def test_evaluate_rejects_unknown_ensemble_member(synthetic_root, tfidf_scores, capsys,
+                                                  spec, named):
     rc = main(["evaluate", "--scores", str(tfidf_scores),
-               "--cnrec", str(synthetic_root), "--ensemble", "tfidf,nosuch"])
+               "--cnrec", str(synthetic_root), "--ensemble", spec])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "nosuch" in err
+    assert err.startswith("error:") and named in err
 
 
 def test_evaluate_rejects_missing_pair(synthetic_root, sed_scores, tmp_path, capsys):

@@ -11,7 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sedrec.articles import Article, ContextWordConfig, EntityAnnotation, load_annotations
+from sedrec.articles import (
+    Article,
+    ContextWordConfig,
+    EntityAnnotation,
+    ScreeningConfig,
+    load_annotations,
+)
 from sedrec.errors import InputDataError
 from sedrec.evaluation import load_cnrec
 from sedrec.kg import PruneConfig, build_graph, parse_ntriples
@@ -29,6 +35,8 @@ from sedrec.scoring import (
     node_pair_distance,
     normalize_distance,
     pair_matrices,
+    pass_one,
+    score_from,
     score_sed,
     score_tfidf,
     sed_variant,
@@ -533,6 +541,34 @@ def test_score_sed_agrees_with_sed_variant(mini_world, scheme):
             u = union(expand(g, seeds[a], cfg.expansion), expand(g, seeds[b], cfg.expansion))
             want = sed_variant(seeds[a], seeds[b], u, costs, cfg, max_finite=mx)
             assert col[pid].raw_distance == want, (cfg, pid)
+
+
+@pytest.mark.parametrize("scheme", [WeightingScheme.RWS, WeightingScheme.JOINT_IC])
+def test_one_pass_one_serves_every_variant_and_penalty(mini_world, scheme):
+    g, articles, annotations, pairs = mini_world
+    p1 = pass_one(g, articles, pairs, annotations, ScoringConfig(weighting=scheme))
+    for variant, reverse in [(SedVariant.ROW, False), (SedVariant.ROW, True),
+                             (SedVariant.SYM, False), (SedVariant.AVG, False),
+                             (SedVariant.AVG, True)]:
+        for penalty in (1.0, 0.98, 0.9):
+            cfg = ScoringConfig(variant=variant, reverse_direction=reverse,
+                                penalty=penalty, weighting=scheme)
+            want = score_sed(g, articles, pairs, annotations, cfg)
+            got = score_from(p1, cfg)
+            assert got.rows == want.rows and got.stats == want.stats, cfg
+
+
+@pytest.mark.parametrize("change", [
+    {"expansion": ExpansionConfig(2)},
+    {"weighting": WeightingScheme.AF},
+    {"screening": ScreeningConfig(top_k=1)},
+    {"context_words": ContextWordConfig(0)},
+], ids=["expansion", "weighting", "screening", "context_words"])
+def test_score_from_rejects_other_pass_one_settings(mini_world, change):
+    g, articles, annotations, pairs = mini_world
+    p1 = pass_one(g, articles, pairs, annotations, ScoringConfig())
+    with pytest.raises(ValueError, match=next(iter(change))):
+        score_from(p1, ScoringConfig(**change))
 
 
 def test_score_sed_row_directions_average_to_sym(mini_world):
