@@ -10,6 +10,7 @@ there (a kg.nt and entities.tsv are then expected alongside it).
 
 import argparse
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 from sedrec.articles import ContextWordConfig, ScreeningConfig, load_annotations
@@ -53,18 +54,44 @@ def print_table(title: str, rows: dict[str, list[str]]) -> None:
         print(f"{name:<{width}}  " + "  ".join(cells))
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--root", help="benchmark root (generated when omitted)")
-    args = parser.parse_args()
+VARIANTS_TABLE = "variants, baselines, ensembles"
 
-    if args.root:
-        root = Path(args.root)
-    else:
-        root = Path(tempfile.mkdtemp(prefix="sedrec-bench-"))
-        generate_benchmark(root)
-        print(f"generated synthetic benchmark at {root}")
 
+def sed_tables() -> list[tuple[str, list[tuple[str, ScoringConfig]]]]:
+    """Every table's SED rows in print order, as (title, [(row name, config)])."""
+    base = dict(variant=SedVariant.SYM, weighting=WeightingScheme.RWS,
+                expansion=ExpansionConfig(1))
+    radius = [(f"{'W' if scheme is WeightingScheme.RWS else 'UnW'}/{hops}hop",
+               ScoringConfig(variant=SedVariant.SYM, weighting=scheme,
+                             expansion=ExpansionConfig(hops)))
+              for hops in (1, 2)
+              for scheme in (WeightingScheme.UNWEIGHTED, WeightingScheme.RWS)]
+    screens = [("all", ScreeningConfig(drop_types=frozenset(), top_k=None), 0),
+               ("nlg8", ScreeningConfig(top_k=8), 0),
+               ("nlg5", ScreeningConfig(top_k=5), 0),
+               ("nlg5+c2", ScreeningConfig(top_k=5), 2),
+               ("nlg5+c4", ScreeningConfig(top_k=5), 4)]
+    screening = [(name, ScoringConfig(**base, screening=screen,
+                                      context_words=ContextWordConfig(n_ctx)))
+                 for name, screen, n_ctx in screens]
+    schemes = [(scheme.value, ScoringConfig(variant=SedVariant.SYM, weighting=scheme,
+                                            expansion=ExpansionConfig(1)))
+               for scheme in (WeightingScheme.RWS, WeightingScheme.AF, WeightingScheme.IAF,
+                              WeightingScheme.AF_IAF, WeightingScheme.JOINT_IC)]
+    penalties = [(f"P{penalty:.2f}", ScoringConfig(**base, penalty=penalty))
+                 for penalty in (1.0, 0.98, 0.95, 0.90)]
+    variants = [(f"sed-{variant.value}",
+                 ScoringConfig(variant=variant, weighting=WeightingScheme.RWS,
+                               expansion=ExpansionConfig(1)))
+                for variant in (SedVariant.AVG, SedVariant.ROW, SedVariant.SYM)]
+    return [("expansion radius and weighting", radius),
+            ("entity screening and context words", screening),
+            ("edge weighting schemes", schemes),
+            ("disconnection penalty", penalties),
+            (VARIANTS_TABLE, variants)]
+
+
+def run(root: Path) -> None:
     articles, records = load_cnrec(root)
     pairs = [(r.pair_id, r.article_a, r.article_b) for r in records]
     annotations = load_annotations(root / "entities.tsv")
@@ -72,70 +99,29 @@ def main() -> None:
                      PruneConfig(english_only=True, min_out_degree=0))
     print(f"graph: {len(kg)} nodes, {kg.num_edges} edges")
 
-    # configs that differ only in variant, penalty or direction share a pass one
+    tables = sed_tables()
+    # configs that differ only in variant, penalty or direction share a pass
+    # one; each is dropped after the last config that uses it
+    uses = Counter(pass_one_key(cfg) for _, rows in tables for _, cfg in rows)
     passes: dict[tuple, PassOne] = {}
-
-    def sed_decisions(cfg: ScoringConfig, label="sed"):
-        key = pass_one_key(cfg)
-        if key not in passes:
-            passes[key] = pass_one(kg, articles, pairs, annotations, cfg)
-        col = score_from(passes[key], cfg, method=label).column(label)
-        return ({p: s.decision for p, s in col.items()},
-                {p: s.z_score for p, s in col.items()})
-
-    base = dict(variant=SedVariant.SYM, weighting=WeightingScheme.RWS,
-                expansion=ExpansionConfig(1))
-
-    rows = {}
-    for hops in (1, 2):
-        for scheme in (WeightingScheme.UNWEIGHTED, WeightingScheme.RWS):
-            cfg = ScoringConfig(variant=SedVariant.SYM, weighting=scheme,
-                                expansion=ExpansionConfig(hops))
-            dec, _ = sed_decisions(cfg)
-            tag = "W" if scheme is WeightingScheme.RWS else "UnW"
-            rows[f"{tag}/{hops}hop"] = f1_row(records, dec)
-    print_table("expansion radius and weighting", rows)
-
-    rows = {}
-    screens = [("all", ScreeningConfig(drop_types=frozenset(), top_k=None), 0),
-               ("nlg8", ScreeningConfig(top_k=8), 0),
-               ("nlg5", ScreeningConfig(top_k=5), 0),
-               ("nlg5+c2", ScreeningConfig(top_k=5), 2),
-               ("nlg5+c4", ScreeningConfig(top_k=5), 4)]
-    for name, screening, n_ctx in screens:
-        cfg = ScoringConfig(**base, screening=screening,
-                            context_words=ContextWordConfig(n_ctx))
-        dec, _ = sed_decisions(cfg)
-        rows[name] = f1_row(records, dec)
-    print_table("entity screening and context words", rows)
-
-    rows = {}
-    for scheme in (WeightingScheme.RWS, WeightingScheme.AF, WeightingScheme.IAF,
-                   WeightingScheme.AF_IAF, WeightingScheme.JOINT_IC):
-        cfg = ScoringConfig(variant=SedVariant.SYM, weighting=scheme,
-                            expansion=ExpansionConfig(1))
-        dec, _ = sed_decisions(cfg)
-        rows[scheme.value] = f1_row(records, dec)
-    print_table("edge weighting schemes", rows)
-
-    rows = {}
-    for penalty in (1.0, 0.98, 0.95, 0.90):
-        cfg = ScoringConfig(**base, penalty=penalty)
-        dec, _ = sed_decisions(cfg)
-        rows[f"P{penalty:.2f}"] = f1_row(records, dec)
-    print_table("disconnection penalty", rows)
-
-    rows = {}
+    results: dict[str, dict[str, list[str]]] = {}
     zs = {}
-    for variant in (SedVariant.AVG, SedVariant.ROW, SedVariant.SYM):
-        cfg = ScoringConfig(variant=variant, weighting=WeightingScheme.RWS,
-                            expansion=ExpansionConfig(1))
-        dec, z = sed_decisions(cfg, label=f"sed-{variant.value}")
-        rows[f"sed-{variant.value}"] = f1_row(records, dec)
-        if variant is SedVariant.SYM:
-            zs["sed"] = z
-    tfidf_table = score_tfidf(articles, pairs)
-    tf_col = tfidf_table.column("tfidf")
+    for title, rows in tables:
+        results[title] = cells = {}
+        for name, cfg in rows:
+            key = pass_one_key(cfg)
+            if key not in passes:
+                passes[key] = pass_one(kg, articles, pairs, annotations, cfg)
+            col = score_from(passes[key], cfg, method=name).column(name)
+            uses[key] -= 1
+            if not uses[key]:
+                del passes[key]
+            cells[name] = f1_row(records, {p: s.decision for p, s in col.items()})
+            if name == "sed-sym":
+                zs["sed"] = {p: s.z_score for p, s in col.items()}
+
+    rows = results[VARIANTS_TABLE]
+    tf_col = score_tfidf(articles, pairs).column("tfidf")
     rows["tfidf"] = f1_row(records, {p: s.decision for p, s in tf_col.items()})
     zs["tfidf"] = {p: s.z_score for p, s in tf_col.items()}
     emb_table = import_embedding_scores(root / "embeddings.csv", [p[0] for p in pairs])
@@ -147,7 +133,22 @@ def main() -> None:
         combined = ensemble({m: zs[m] for m in members})
         decisions = {p: z < 0 for p, z in combined.items()}
         rows["+".join(members)] = f1_row(records, decisions)
-    print_table("variants, baselines, ensembles", rows)
+    for title, cells in results.items():
+        print_table(title, cells)
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--root", help="benchmark root (generated when omitted)")
+    args = parser.parse_args()
+
+    if args.root:
+        run(Path(args.root))
+        return
+    with tempfile.TemporaryDirectory(prefix="sedrec-bench-") as tmp:
+        generate_benchmark(Path(tmp))
+        print(f"generated synthetic benchmark at {tmp} (removed on exit)")
+        run(Path(tmp))
 
 
 if __name__ == "__main__":

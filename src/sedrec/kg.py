@@ -10,11 +10,14 @@ from __future__ import annotations
 import gzip
 import re
 import struct
-from collections import defaultdict
+import zlib
+from array import array
 from dataclasses import dataclass, field
 from typing import BinaryIO, Iterable, Iterator
 
-from .errors import SnapshotError, UnknownNodeError
+import numpy as np
+
+from .errors import InputDataError, SnapshotError, UnknownNodeError
 
 _TRIPLE_RE = re.compile(r"^<([^<>\s]+)>\s+<([^<>\s]+)>\s+(.+?)\s*\.$")
 _NODE_RE = re.compile(r"^<([^<>\s]+)>$")
@@ -129,6 +132,10 @@ def parse_ntriples(source, tally: ParseTally | None = None) -> Iterator[TripleRe
                 continue
             tally.records += 1
             yield TripleRecord(subject, predicate, _unescape(value), True, lang)
+    except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
+        name = getattr(source, "name", "<stream>") if hasattr(source, "read") else source
+        raise InputDataError(f"{name}: corrupt gzip stream after line {tally.lines}: "
+                             f"{exc}") from None
     finally:
         for handle in owned:
             handle.close()
@@ -190,113 +197,198 @@ def _pred_basename(predicate: str) -> str:
     return predicate.rsplit("/", 1)[-1].rsplit("#", 1)[-1]
 
 
-def _restrict(ts: list[TripleRecord], keep) -> list[TripleRecord]:
-    """The triples whose subject and node object are both in ``keep``."""
-    return [t for t in ts if t.subject in keep and (t.is_literal or t.object in keep)]
+def _title_priority(lang: str | None) -> int:
+    """Rank of a ``type.object.name`` candidate by its language tag; lower wins."""
+    lang = (lang or "").lower()
+    if lang == "en":
+        return 0
+    if lang.startswith("en-"):
+        return 1
+    return 2 if not lang else 3
 
 
-def _census(ts: list[TripleRecord], name: str, stats: PruneStats) -> set[str]:
-    """Record the ``PassStats`` row for ``ts`` and return its node set."""
-    nodes = set()
-    node_triples = 0
-    for t in ts:
-        nodes.add(t.subject)
+def _distinct(*cols: np.ndarray) -> list[np.ndarray]:
+    """The distinct rows of equal-length integer columns, in lexicographic order."""
+    if not len(cols[0]):
+        return list(cols)
+    order = np.lexsort(cols[::-1])
+    cols = [c[order] for c in cols]
+    first = np.zeros(len(order), dtype=bool)
+    first[0] = True
+    for c in cols:
+        first[1:] |= c[1:] != c[:-1]
+    return [c[first] for c in cols]
+
+
+@dataclass
+class _Triples:
+    """Interned triple columns: node triples ``(s, p, o)`` and literal triples
+    ``(ls, lk)``, where ``lk`` numbers the literal's distinct ``(value, lang)``."""
+
+    s: np.ndarray
+    p: np.ndarray
+    o: np.ndarray
+    ls: np.ndarray
+    lk: np.ndarray
+
+    def restrict(self, keep: np.ndarray) -> "_Triples":
+        """The triples whose subject and node object are both in the ``keep`` mask."""
+        nodes = keep[self.s] & keep[self.o]
+        lits = keep[self.ls]
+        return _Triples(self.s[nodes], self.p[nodes], self.o[nodes],
+                        self.ls[lits], self.lk[lits])
+
+    def census(self, n: int, name: str, stats: PruneStats) -> np.ndarray:
+        """Record the ``PassStats`` row and return the mask of the nodes present."""
+        present = np.zeros(n, dtype=bool)
+        for col in (self.s, self.o, self.ls):
+            present[col] = True
+        stats.passes.append(PassStats(name, int(present.sum()), len(self.s), len(self.ls)))
+        return present
+
+
+def _two_core(ts: _Triples, n: int) -> np.ndarray:
+    """Mask of the nodes left once vertices of degree <= 1 in the simple
+    undirected graph of the node triples are removed until none remains."""
+    links = ts.s != ts.o
+    a, b = _distinct(np.minimum(ts.s, ts.o)[links], np.maximum(ts.s, ts.o)[links])
+    ends, others = np.concatenate([a, b]), np.concatenate([b, a])
+    degree = np.bincount(ends, minlength=n)
+    start = np.concatenate([[0], np.cumsum(degree)]).tolist()
+    nbrs = others[np.argsort(ends, kind="stable")].tolist()
+    left = degree.tolist()
+    removed = (degree <= 1).tolist()
+    queue = np.flatnonzero(degree == 1).tolist()
+    while queue:
+        v = queue.pop()
+        for w in nbrs[start[v]:start[v + 1]]:
+            if removed[w]:
+                continue
+            left[w] -= 1
+            if left[w] <= 1:
+                removed[w] = True
+                queue.append(w)
+    return ~np.array(removed, dtype=bool)
+
+
+def _ranks(strings: list[str], ids: Iterable[int]) -> tuple[list[int], np.ndarray]:
+    """``ids`` sorted by their strings, and each id's position in that order."""
+    order = sorted(ids, key=strings.__getitem__)
+    rank = np.zeros(len(strings), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    return order, rank
+
+
+def _intern(triples: Iterable[TripleRecord], cfg: PruneConfig):
+    """Read the stream once into ``_Triples`` columns without keeping a record.
+
+    Returns the columns, the mask of English literal triples, the node and
+    predicate id tables, and per subject its best ``type.object.name``
+    candidate that the English pass keeps, as (priority, input sequence,
+    text); lower wins.
+    """
+    node_ids: dict[str, int] = {}
+    pred_ids: dict[str, int] = {}
+    lit_ids: dict[tuple[str, str | None], int] = {}
+    cols = tuple(array("q") for _ in range(5))
+    s, p, o, ls, lk = cols
+    english = bytearray()
+    names: dict[int, tuple[int, int, str]] = {}
+    for seq, t in enumerate(triples):
+        subject = node_ids.setdefault(t.subject, len(node_ids))
         if not t.is_literal:
-            nodes.add(t.object)
-            node_triples += 1
-    stats.passes.append(PassStats(name, len(nodes), node_triples, len(ts) - node_triples))
-    return nodes
+            s.append(subject)
+            p.append(pred_ids.setdefault(t.predicate, len(pred_ids)))
+            o.append(node_ids.setdefault(t.object, len(node_ids)))
+            continue
+        ls.append(subject)
+        # the value is interned only for the out-degree filter to count
+        lk.append(lit_ids.setdefault((t.object, t.lang), len(lit_ids))
+                  if cfg.min_out_degree else 0)
+        en = _is_english(t.lang)
+        english.append(en)
+        if cfg.english_only and not en:
+            continue
+        if _pred_basename(t.predicate) == "type.object.name":
+            cand = (_title_priority(t.lang), seq, t.object)
+            if subject not in names or cand < names[subject]:
+                names[subject] = cand
+    ts = _Triples(*(np.frombuffer(c, dtype=np.int64) for c in cols))
+    return ts, np.frombuffer(english, dtype=bool), node_ids, pred_ids, names
+
+
+def _collapse(ts: _Triples, rank: np.ndarray, pred_ids: dict[str, int]):
+    """One canonical undirected edge per node pair of the node triples, under
+    the node ``rank``, with the sorted union of the pair's predicates."""
+    pred_strings = list(pred_ids)
+    pred_order, pred_rank = _ranks(pred_strings, range(len(pred_strings)))
+    u, v = rank[ts.s], rank[ts.o]
+    links = u != v
+    lo, hi, pr = _distinct(np.minimum(u, v)[links], np.maximum(u, v)[links],
+                           pred_rank[ts.p][links])
+    new_pair = np.ones(len(lo), dtype=bool)
+    new_pair[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+    starts = np.flatnonzero(new_pair)
+    endpoints = tuple(zip(lo[starts].tolist(), hi[starts].tolist()))
+    labels = [pred_strings[pred_order[r]] for r in pr.tolist()]
+    bounds = [*starts.tolist(), len(labels)]
+    return endpoints, tuple(tuple(labels[a:b]) for a, b in zip(bounds, bounds[1:]))
 
 
 def build_graph(triples: Iterable[TripleRecord], cfg: PruneConfig) -> "KnowledgeGraph":
     """Prune a triple stream and assemble the collapsed undirected graph.
 
+    The stream is read once and no record is kept (``_intern``): subjects
+    and objects become node ids and predicates predicate ids, a node triple
+    becomes one row of integer columns, a literal triple keeps its subject
+    and a number for its ``(value, lang)``, and per subject only the best
+    ``type.object.name`` candidate is kept as text.
+
     Pruning passes run in a fixed order, once each: non-English literal
     removal, stoplist removal, source out-degree filtering, leaf removal.
-    Each node pass computes a keep-set and drops the triples with an
-    endpoint outside it in one ``_restrict`` step. After every pass one
-    ``_census`` records its ``PassStats`` row and returns the surviving
-    nodes; the last census is the node table.
+    Each node pass computes a keep mask over node ids and drops the triples
+    with an endpoint outside it in one ``restrict`` step. After every pass
+    one ``census`` records its ``PassStats`` row and returns the mask of
+    surviving nodes; the last census is the node table.
     Leaf removal iterates until no degree<=1 vertex remains so that every
     surviving node keeps degree >= 2. Literal triples for surviving nodes
     supply titles instead of edges.
     """
-    ts = list(triples)
+    ts, english, node_ids, pred_ids, names = _intern(triples, cfg)
+    n = len(node_ids)
     stats = PruneStats()
-    nodes = _census(ts, "input", stats)
+    nodes = ts.census(n, "input", stats)
 
     if cfg.english_only:
-        ts = [t for t in ts if not t.is_literal or _is_english(t.lang)]
-    nodes = _census(ts, "english", stats)
+        ts = _Triples(ts.s, ts.p, ts.o, ts.ls[english], ts.lk[english])
+    nodes = ts.census(n, "english", stats)
 
     if cfg.stoplist:
-        ts = _restrict(ts, nodes - cfg.stoplist)
-    nodes = _census(ts, "stoplist", stats)
+        keep = nodes.copy()
+        keep[[node_ids[x] for x in cfg.stoplist if x in node_ids]] = False
+        ts = ts.restrict(keep)
+    nodes = ts.census(n, "stoplist", stats)
 
     if cfg.min_out_degree > 0:
-        out_nbrs: dict[str, set] = defaultdict(set)
-        for t in ts:
-            out_nbrs[t.subject].add((t.object, t.lang) if t.is_literal else t.object)
-        ts = _restrict(ts, {n for n, outs in out_nbrs.items()
-                            if len(outs) >= cfg.min_out_degree})
-    nodes = _census(ts, "out-degree", stats)
+        out_degree = sum(np.bincount(_distinct(subjects, outs)[0], minlength=n)
+                         for subjects, outs in ((ts.s, ts.o), (ts.ls, ts.lk)))
+        ts = ts.restrict(out_degree >= cfg.min_out_degree)
+    nodes = ts.census(n, "out-degree", stats)
 
     if cfg.drop_leaves:
-        nbrs: dict[str, set] = defaultdict(set)
-        for t in ts:
-            if not t.is_literal and t.subject != t.object:
-                nbrs[t.subject].add(t.object)
-                nbrs[t.object].add(t.subject)
-        # iterate to the 2-core so the degree >= 2 invariant holds
-        queue = [n for n, ns in nbrs.items() if len(ns) <= 1]
-        removed = set(queue)
-        while queue:
-            n = queue.pop()
-            for other in nbrs[n]:
-                if other in removed:
-                    continue
-                nbrs[other].discard(n)
-                if len(nbrs[other]) <= 1:
-                    removed.add(other)
-                    queue.append(other)
-        ts = _restrict(ts, nbrs.keys() - removed)
-    nodes = _census(ts, "leaves", stats)
+        ts = ts.restrict(_two_core(ts, n))
+    nodes = ts.census(n, "leaves", stats)
 
-    ids = tuple(sorted(nodes))
-    index = {ident: i for i, ident in enumerate(ids)}
-
-    edge_map: dict[tuple[int, int], set[str]] = {}
-    # title candidates ranked (priority, input sequence); lower wins
-    title_cand: dict[int, tuple[int, int, str]] = {}
-    for seq, t in enumerate(ts):
-        if t.is_literal:
-            if _pred_basename(t.predicate) != "type.object.name":
-                continue
-            lang = (t.lang or "").lower()
-            if lang == "en":
-                prio = 0
-            elif lang.startswith("en-"):
-                prio = 1
-            elif not lang:
-                prio = 2
-            else:
-                prio = 3
-            n = index[t.subject]
-            cand = (prio, seq, t.object)
-            if n not in title_cand or cand < title_cand[n]:
-                title_cand[n] = cand
-        else:
-            u, v = index[t.subject], index[t.object]
-            if u == v:
-                continue
-            key = (u, v) if u < v else (v, u)
-            edge_map.setdefault(key, set()).add(t.predicate)
-
-    titles = tuple(
-        title_cand[i][2] if i in title_cand else ids[i] for i in range(len(ids))
-    )
-    endpoints = tuple(sorted(edge_map))
-    predicates = tuple(tuple(sorted(edge_map[k])) for k in endpoints)
+    # node ranks follow the sorted identifiers, so the collapsed edges come
+    # out in canonical order
+    strings = list(node_ids)
+    kept, rank = _ranks(strings, np.flatnonzero(nodes).tolist())
+    ids = tuple(strings[i] for i in kept)
+    titles = tuple(names[i][2] if i in names else strings[i] for i in kept)
+    # on a full dump most interned nodes are pruned: free them before the
+    # graph builds its own tables
+    del node_ids, strings, names
+    endpoints, predicates = _collapse(ts, rank, pred_ids)
     stats.collapsed_edges = len(endpoints)
     return KnowledgeGraph(ids, titles, endpoints, predicates, prune_stats=stats)
 

@@ -5,7 +5,8 @@ code paths: shortest distances come from exhaustive simple-path enumeration
 or from a full Dijkstra over the whole union graph, neighborhood overlap
 costs are recomputed from raw adjacency sets, the JointIC table is the
 per-orientation loop of its definition, the frequency tables are the
-per-predicate loops of theirs, and the article-distance aggregates
+per-predicate loops of theirs, the pruned graph is built from a list of
+every record with set-based passes, and the article-distance aggregates
 follow their definitions directly.
 """
 
@@ -14,6 +15,8 @@ from __future__ import annotations
 import heapq
 import math
 from collections import Counter, defaultdict, deque
+
+from sedrec.kg import KnowledgeGraph, PassStats, PruneStats
 
 
 def enum_shortest_from(n_nodes, directed_cost, adjacency, source):
@@ -128,6 +131,106 @@ def frequency_loop(g, scheme):
               "af-iaf": {p: af[p] * iaf[p] for p in af}}[scheme]
     return scores, tuple(1.0 - max(scores[p] for p in preds)
                          for preds in g.edge_predicates)
+
+
+def _lists_is_english(lang):
+    return lang is None or lang.lower() == "en" or lang.lower().startswith("en-")
+
+
+def _lists_restrict(ts, keep):
+    return [t for t in ts if t.subject in keep and (t.is_literal or t.object in keep)]
+
+
+def _lists_census(ts, name, stats):
+    nodes = set()
+    node_triples = 0
+    for t in ts:
+        nodes.add(t.subject)
+        if not t.is_literal:
+            nodes.add(t.object)
+            node_triples += 1
+    stats.passes.append(PassStats(name, len(nodes), node_triples, len(ts) - node_triples))
+    return nodes
+
+
+def build_graph_lists(triples, cfg):
+    """``kg.build_graph`` over a list of every record, with each pruning pass
+    a string keep-set and each census a string node set."""
+    ts = list(triples)
+    stats = PruneStats()
+    nodes = _lists_census(ts, "input", stats)
+
+    if cfg.english_only:
+        ts = [t for t in ts if not t.is_literal or _lists_is_english(t.lang)]
+    nodes = _lists_census(ts, "english", stats)
+
+    if cfg.stoplist:
+        ts = _lists_restrict(ts, nodes - cfg.stoplist)
+    nodes = _lists_census(ts, "stoplist", stats)
+
+    if cfg.min_out_degree > 0:
+        out_nbrs = defaultdict(set)
+        for t in ts:
+            out_nbrs[t.subject].add((t.object, t.lang) if t.is_literal else t.object)
+        ts = _lists_restrict(ts, {n for n, outs in out_nbrs.items()
+                                  if len(outs) >= cfg.min_out_degree})
+    nodes = _lists_census(ts, "out-degree", stats)
+
+    if cfg.drop_leaves:
+        nbrs = defaultdict(set)
+        for t in ts:
+            if not t.is_literal and t.subject != t.object:
+                nbrs[t.subject].add(t.object)
+                nbrs[t.object].add(t.subject)
+        queue = [n for n, ns in nbrs.items() if len(ns) <= 1]
+        removed = set(queue)
+        while queue:
+            n = queue.pop()
+            for other in nbrs[n]:
+                if other in removed:
+                    continue
+                nbrs[other].discard(n)
+                if len(nbrs[other]) <= 1:
+                    removed.add(other)
+                    queue.append(other)
+        ts = _lists_restrict(ts, nbrs.keys() - removed)
+    nodes = _lists_census(ts, "leaves", stats)
+
+    ids = tuple(sorted(nodes))
+    index = {ident: i for i, ident in enumerate(ids)}
+    edge_map = {}
+    title_cand = {}
+    for seq, t in enumerate(ts):
+        if t.is_literal:
+            if t.predicate.rsplit("/", 1)[-1].rsplit("#", 1)[-1] != "type.object.name":
+                continue
+            lang = (t.lang or "").lower()
+            if lang == "en":
+                prio = 0
+            elif lang.startswith("en-"):
+                prio = 1
+            elif not lang:
+                prio = 2
+            else:
+                prio = 3
+            n = index[t.subject]
+            cand = (prio, seq, t.object)
+            if n not in title_cand or cand < title_cand[n]:
+                title_cand[n] = cand
+        else:
+            u, v = index[t.subject], index[t.object]
+            if u == v:
+                continue
+            key = (u, v) if u < v else (v, u)
+            edge_map.setdefault(key, set()).add(t.predicate)
+
+    titles = tuple(
+        title_cand[i][2] if i in title_cand else ids[i] for i in range(len(ids))
+    )
+    endpoints = tuple(sorted(edge_map))
+    predicates = tuple(tuple(sorted(edge_map[k])) for k in endpoints)
+    stats.collapsed_edges = len(endpoints)
+    return KnowledgeGraph(ids, titles, endpoints, predicates, prune_stats=stats)
 
 
 def bfs_hops(adjacency, source):

@@ -387,3 +387,22 @@ def test_ingest_accepts_gzip_triples(synthetic_root, tmp_path):
     main(["ingest", "--triples", str(synthetic_root / "kg.nt"),
           "--min-out-degree", "0", "--out", str(plain)])
     assert out.read_bytes() == plain.read_bytes()
+
+
+@pytest.mark.parametrize("damage", ["truncated", "flipped-byte"])
+def test_corrupt_gzip_triples_is_input_error(synthetic_root, tmp_path, capsys, damage):
+    import gzip as gz
+
+    data = bytearray(gz.compress((synthetic_root / "kg.nt").read_bytes()))
+    if damage == "truncated":
+        del data[len(data) // 2:]
+    else:
+        data[100] ^= 0xFF  # inside the deflate stream: zlib cannot decode it
+    packed = tmp_path / "kg.nt.gz"
+    packed.write_bytes(bytes(data))
+    rc = main(["ingest", "--triples", str(packed), "--min-out-degree", "0",
+               "--out", str(tmp_path / "gz.snap")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {packed}: corrupt gzip stream after line ")
+    assert not (tmp_path / "gz.snap").exists()

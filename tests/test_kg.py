@@ -1,7 +1,9 @@
 import gzip
 import hashlib
 import io
+import itertools
 import struct
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from sedrec.kg import (
 )
 
 from helpers import IDENTITY_PRUNE, graph_from_edges, lit, nt
+from oracles import build_graph_lists
 
 
 # ---------------------------------------------------------------- parsing
@@ -453,3 +456,98 @@ def test_snapshot_round_trip_random(tmp_path_factory, raw):
     save_snapshot(g2, d / "b.snap")
     assert (d / "a.snap").read_bytes() == (d / "b.snap").read_bytes()
     assert g2 == g
+
+
+# ------------------------------------------------- interned build vs oracle
+
+ALL_PRUNE_CONFIGS = [
+    PruneConfig(english_only=english, min_out_degree=degree, drop_leaves=leaves,
+                stoplist=frozenset({"n1", "absent"}) if stop else frozenset())
+    for english, stop, degree, leaves in itertools.product(
+        (False, True), (False, True), (0, 1, 2, 3), (False, True))
+]
+PRUNE_IDS = [
+    f"{'en' if c.english_only else 'all'}-{'stop' if c.stoplist else 'nostop'}"
+    f"-deg{c.min_out_degree}-{'leaves' if c.drop_leaves else 'keep'}"
+    for c in ALL_PRUNE_CONFIGS
+]
+
+NAME = "type.object.name"
+# self-loops, repeated triples, a value under two language tags, nodes seen
+# only as objects (n6), subjects with only literals (l1, l2) and tied names
+COVERING_STREAM = [
+    nt("n0", "p", "n1"), nt("n0", "p", "n1"), nt("n1", "q", "n2"), nt("n2", "p", "n0"),
+    nt("n2", "p", "n2"), nt("n3", "p", "n3"), nt("n0", "r", "n3"), nt("n3", "p", "n6"),
+    nt("n1", "p", "n3"), nt("n4", "p", "n0"), nt("n4", "q", "n0"), nt("n0", "q", "n4"),
+    nt("n5", "p", "n1"), nt("n5", "p", "n4"), nt("n3", "q", "n4"), nt("n1", "p", "n0"),
+    lit("n0", NAME, "Zero", "en"), lit("n0", NAME, "Nul", "en"), lit("n0", NAME, "Null", "de"),
+    lit("n1", NAME, "Same", "en"), lit("n1", NAME, "Same", "fr"), lit("n1", "label", "Same"),
+    lit("n2", NAME, "Two", "EN-gb"), lit("n2", NAME, "Deux", "en-GB"),
+    lit("n3", f"http://rdf.freebase.com/ns/{NAME}", "Three"), lit("n3", NAME, "Drei", "de"),
+    lit("n4", NAME, "Four", "fr"), lit("n4", "label", "4"), lit("n4", "label", "4"),
+    lit("l1", NAME, "Lit one", "en"), lit("l1", "label", "x"), lit("l1", "label", "x", "en"),
+    lit("l2", NAME, "Lit two", "fr"),
+]
+
+
+def assert_same_as_oracle(records, cfg):
+    got = build_graph(iter(records), cfg)
+    want = build_graph_lists(records, cfg)
+    assert got == want
+    assert got.prune_stats == want.prune_stats
+    got.validate()
+
+
+@pytest.mark.parametrize("cfg", ALL_PRUNE_CONFIGS, ids=PRUNE_IDS)
+def test_build_graph_matches_list_oracle_on_covering_stream(cfg):
+    assert_same_as_oracle(COVERING_STREAM, cfg)
+    assert_same_as_oracle([], cfg)
+
+
+oracle_node_triples = st.builds(
+    nt, st.sampled_from([f"n{i}" for i in range(6)]),
+    st.sampled_from(["p", "q", "http://x.org/ns/r"]),
+    st.sampled_from([f"n{i}" for i in range(7)]))
+oracle_literal_triples = st.builds(
+    lit, st.sampled_from(["n0", "n1", "n2", "n6", "l1", "l2"]),
+    st.sampled_from([NAME, f"http://rdf.freebase.com/ns/{NAME}", "label"]),
+    st.sampled_from(["A", "B", "b"]),
+    st.sampled_from([None, "en", "EN", "en-GB", "fr", "de"]))
+oracle_streams = st.lists(st.one_of(oracle_node_triples, oracle_literal_triples),
+                          max_size=40)
+
+
+@pytest.mark.parametrize("cfg", ALL_PRUNE_CONFIGS, ids=PRUNE_IDS)
+@given(records=oracle_streams)
+@settings(max_examples=20, deadline=None)
+def test_build_graph_matches_list_oracle(cfg, records):
+    assert_same_as_oracle(records, cfg)
+
+
+def test_build_graph_keeps_no_record():
+    live = 0
+    peak = 0
+    refs = []
+
+    def died(_):
+        nonlocal live
+        live -= 1
+
+    def stream():
+        nonlocal live, peak
+        for i in range(3000):
+            if i % 3:
+                rec = nt(f"n{i % 400}", f"p{i % 7}", f"n{(i * 37) % 400}")
+            else:
+                rec = lit(f"n{i % 400}", NAME, f"Name {i}", ("en", "fr", None)[i % 5 % 3])
+            refs.append(weakref.ref(rec, died))
+            live += 1
+            peak = max(peak, live)
+            yield rec
+
+    cfg = PruneConfig(english_only=True, min_out_degree=3, drop_leaves=True)
+    g = build_graph(stream(), cfg)
+    # the record being yielded and the one build_graph still holds
+    assert peak <= 2
+    assert len(refs) == 3000 and len(g) > 0
+    assert g == build_graph_lists(list(stream()), cfg)
