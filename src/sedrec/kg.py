@@ -13,6 +13,7 @@ import struct
 import zlib
 from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import BinaryIO, Iterable, Iterator
 
 import numpy as np
@@ -247,16 +248,23 @@ class _Triples:
         return present
 
 
+def _csr(u: np.ndarray, v: np.ndarray, n: int):
+    """``indptr``, ``indices`` and ``edge_id`` of the undirected edges (u[e], v[e]) over
+    ``n`` nodes; canonical pairs give sorted rows (lower neighbours come from ``u``)."""
+    ends = np.concatenate([v, u])
+    order = np.argsort(ends, kind="stable")
+    indptr = np.searchsorted(ends[order], np.arange(n + 1))
+    return indptr, np.concatenate([u, v])[order], order - len(u) * (order >= len(u))
+
+
 def _two_core(ts: _Triples, n: int) -> np.ndarray:
     """Mask of the nodes left once vertices of degree <= 1 in the simple
     undirected graph of the node triples are removed until none remains."""
     links = ts.s != ts.o
-    a, b = _distinct(np.minimum(ts.s, ts.o)[links], np.maximum(ts.s, ts.o)[links])
-    ends, others = np.concatenate([a, b]), np.concatenate([b, a])
-    degree = np.bincount(ends, minlength=n)
-    start = np.concatenate([[0], np.cumsum(degree)]).tolist()
-    nbrs = others[np.argsort(ends, kind="stable")].tolist()
-    left = degree.tolist()
+    indptr, nbrs, _ = _csr(*_distinct(np.minimum(ts.s, ts.o)[links],
+                                      np.maximum(ts.s, ts.o)[links]), n)
+    degree = np.diff(indptr)
+    start, nbrs, left = indptr.tolist(), nbrs.tolist(), degree.tolist()
     removed = (degree <= 1).tolist()
     queue = np.flatnonzero(degree == 1).tolist()
     while queue:
@@ -319,20 +327,20 @@ def _intern(triples: Iterable[TripleRecord], cfg: PruneConfig):
 
 def _collapse(ts: _Triples, rank: np.ndarray, pred_ids: dict[str, int]):
     """One canonical undirected edge per node pair of the node triples, under
-    the node ``rank``, with the sorted union of the pair's predicates."""
+    the node ``rank``, with the sorted union of the pair's predicates: the
+    graph's ``predicates``, ``edge_u``, ``edge_v``, ``pred_ptr`` and ``pred_ids``."""
     pred_strings = list(pred_ids)
     pred_order, pred_rank = _ranks(pred_strings, range(len(pred_strings)))
     u, v = rank[ts.s], rank[ts.o]
     links = u != v
     lo, hi, pr = _distinct(np.minimum(u, v)[links], np.maximum(u, v)[links],
                            pred_rank[ts.p][links])
+    used = np.bincount(pr, minlength=len(pred_strings)) > 0
     new_pair = np.ones(len(lo), dtype=bool)
     new_pair[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
     starts = np.flatnonzero(new_pair)
-    endpoints = tuple(zip(lo[starts].tolist(), hi[starts].tolist()))
-    labels = [pred_strings[pred_order[r]] for r in pr.tolist()]
-    bounds = [*starts.tolist(), len(labels)]
-    return endpoints, tuple(tuple(labels[a:b]) for a, b in zip(bounds, bounds[1:]))
+    return ([pred_strings[pred_order[r]] for r in np.flatnonzero(used).tolist()], lo[starts],
+            hi[starts], np.append(starts, len(pr)), (np.cumsum(used) - 1)[pr])
 
 
 def build_graph(triples: Iterable[TripleRecord], cfg: PruneConfig) -> "KnowledgeGraph":
@@ -388,78 +396,79 @@ def build_graph(triples: Iterable[TripleRecord], cfg: PruneConfig) -> "Knowledge
     # on a full dump most interned nodes are pruned: free them before the
     # graph builds its own tables
     del node_ids, strings, names
-    endpoints, predicates = _collapse(ts, rank, pred_ids)
-    stats.collapsed_edges = len(endpoints)
-    return KnowledgeGraph(ids, titles, endpoints, predicates, prune_stats=stats)
+    g = KnowledgeGraph.from_columns(ids, titles, *_collapse(ts, rank, pred_ids),
+                                    prune_stats=stats)
+    stats.collapsed_edges = g.num_edges
+    return g
 
 
 class KnowledgeGraph:
-    """Immutable undirected graph with interned nodes and collapsed edges.
+    """Immutable undirected graph with interned nodes and collapsed edges, in arrays.
 
-    Edges must come in canonical order: each node pair ``(u, v)`` has
-    ``0 <= u < v < len(ids)`` and the pairs strictly increase, so none
-    repeats and adjacency rows fill in sorted order. Any other order raises
-    ``ValueError``.
+    ``ids``, ``titles``; ``predicates``, the sorted predicates the edges carry; int64
+    edge columns ``0 <= edge_u < edge_v < len(ids)``, pairs strictly increasing,
+    edge ``e`` carrying the increasing ids ``pred_ids[pred_ptr[e]:pred_ptr[e + 1]]``
+    (at least one); the CSR rows ``indices``/``edge_id`` from ``indptr[x]`` to
+    ``indptr[x + 1]``: node ``x``'s sorted neighbours and the edges to them. The
+    constructor interns (u, v) pairs and predicate strings into these columns,
+    ``from_columns`` takes the columns; both call ``validate``.
     """
-
-    __slots__ = (
-        "ids", "titles", "edge_endpoints", "edge_predicates",
-        "degrees", "prune_stats", "_index", "_adjacency", "_title_lookup",
-    )
 
     def __init__(self, ids, titles, edge_endpoints, edge_predicates,
                  prune_stats: PruneStats | None = None):
-        ids = tuple(ids)
-        titles = tuple(titles)
-        edge_endpoints = tuple(tuple(e) for e in edge_endpoints)
-        edge_predicates = tuple(tuple(p) for p in edge_predicates)
-        if len(titles) != len(ids):
-            raise ValueError("title table size does not match node table")
-        if len(edge_predicates) != len(edge_endpoints):
-            raise ValueError("predicate table size does not match edge table")
-        n = len(ids)
-        adjacency: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        previous = (-1, -1)
-        for e, pair in enumerate(edge_endpoints):
-            u, v = pair
-            if not (0 <= u < v < n and pair > previous):
-                raise ValueError(f"edge {e} {pair} breaks canonical order "
-                                 f"(0 <= u < v < {n}, after {previous})")
-            if not edge_predicates[e]:
-                raise ValueError(f"edge {e} has an empty predicate list")
-            previous = pair
-            adjacency[u].append((v, e))
-            adjacency[v].append((u, e))
-        self.ids = ids
-        self.titles = titles
-        self.edge_endpoints = edge_endpoints
-        self.edge_predicates = edge_predicates
-        self._index = {ident: i for i, ident in enumerate(ids)}
-        if len(self._index) != n:
-            raise ValueError("node identifiers are not unique")
-        self._adjacency = tuple(map(tuple, adjacency))
-        self.degrees = tuple(map(len, adjacency))
+        runs = [tuple(preds) for preds in edge_predicates]
+        predicates = sorted({p for run in runs for p in run})
+        index = {p: i for i, p in enumerate(predicates)}
+        ends = np.array(list(edge_endpoints), dtype=np.int64).reshape(-1, 2)
+        self._set(ids, titles, predicates, ends[:, 0], ends[:, 1],
+                  np.cumsum([0, *map(len, runs)], dtype=np.int64),
+                  np.array([index[p] for run in runs for p in run], dtype=np.int64),
+                  prune_stats)
+
+    @classmethod
+    def from_columns(cls, ids, titles, predicates, edge_u, edge_v, pred_ptr, pred_ids,
+                     prune_stats: PruneStats | None = None) -> "KnowledgeGraph":
+        g = cls.__new__(cls)
+        g._set(ids, titles, predicates, edge_u, edge_v, pred_ptr, pred_ids, prune_stats)
+        return g
+
+    def _set(self, ids, titles, predicates, edge_u, edge_v, pred_ptr, pred_ids, prune_stats):
+        self.ids, self.titles, self.predicates = tuple(ids), tuple(titles), tuple(predicates)
+        self.edge_u, self.edge_v, self.pred_ptr, self.pred_ids = edge_u, edge_v, pred_ptr, pred_ids
         self.prune_stats = prune_stats
-        self._title_lookup = None
+        self._index = {ident: i for i, ident in enumerate(self.ids)}
+        self.validate()
+        self.indptr, self.indices, self.edge_id = _csr(edge_u, edge_v, len(self.ids))
+        self.degrees = tuple(np.diff(self.indptr).tolist())
 
     def __len__(self) -> int:
         return len(self.ids)
 
     @property
     def num_edges(self) -> int:
-        return len(self.edge_endpoints)
+        return len(self.edge_u)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, KnowledgeGraph):
             return NotImplemented
-        return (
-            self.ids == other.ids
-            and self.titles == other.titles
-            and self.edge_endpoints == other.edge_endpoints
-            and self.edge_predicates == other.edge_predicates
-        )
+        return ((self.ids, self.titles, self.predicates)
+                == (other.ids, other.titles, other.predicates)
+                and all(np.array_equal(getattr(self, c), getattr(other, c))
+                        for c in ("edge_u", "edge_v", "pred_ptr", "pred_ids")))
 
     __hash__ = None
+
+    @cached_property
+    def edge_endpoints(self) -> tuple[tuple[int, int], ...]:
+        """(u, v) per edge, built on first use; the pipeline reads the columns."""
+        return tuple(zip(self.edge_u.tolist(), self.edge_v.tolist()))
+
+    @cached_property
+    def edge_predicates(self) -> tuple[tuple[str, ...], ...]:
+        """Predicate strings per edge, built on first use."""
+        names = [self.predicates[p] for p in self.pred_ids.tolist()]
+        bounds = self.pred_ptr.tolist()
+        return tuple(tuple(names[a:b]) for a, b in zip(bounds, bounds[1:]))
 
     def has_node(self, ident: str) -> bool:
         return ident in self._index
@@ -470,59 +479,75 @@ class KnowledgeGraph:
         except KeyError:
             raise UnknownNodeError(f"unknown node identifier {ident!r}") from None
 
+    def resolve(self, node: int | str) -> int:
+        """Index of a node given by identifier or index, or UnknownNodeError."""
+        if isinstance(node, str):
+            return self.node_index(node)
+        if not 0 <= node < len(self.ids):
+            raise UnknownNodeError(f"node index {node} out of range")
+        return node
+
     def title(self, node: int) -> str:
         return self.titles[node]
 
     def neighbors(self, node: int) -> tuple[tuple[int, int], ...]:
         """Sorted (neighbor, edge index) pairs for ``node``."""
-        return self._adjacency[node]
+        a, b = self.indptr[node], self.indptr[node + 1]
+        return tuple(zip(self.indices[a:b].tolist(), self.edge_id[a:b].tolist()))
 
     def closed_neighborhood(self, node: int | str) -> frozenset[int]:
         """The node itself plus all adjacent nodes, as internal indices."""
-        if isinstance(node, str):
-            node = self.node_index(node)
-        elif not 0 <= node < len(self.ids):
-            raise UnknownNodeError(f"node index {node} out of range")
-        return frozenset((node, *(v for v, _ in self._adjacency[node])))
+        node = self.resolve(node)
+        return frozenset((node, *self.indices[self.indptr[node]:self.indptr[node + 1]].tolist()))
 
     def edge_between(self, u: int, v: int) -> int | None:
         """Edge index joining u and v, or None if not adjacent."""
-        row = self._adjacency[u]
-        lo, hi = 0, len(row)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if row[mid][0] < v:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo < len(row) and row[lo][0] == v:
-            return row[lo][1]
-        return None
+        u, v = self.resolve(u), self.resolve(v)
+        a, b = self.indptr[u], self.indptr[u + 1]
+        i = a + np.searchsorted(self.indices[a:b], v)
+        return int(self.edge_id[i]) if i < b and self.indices[i] == v else None
+
+    @cached_property
+    def _title_lookup(self) -> dict[str, int]:
+        lookup: dict[str, int] = {}
+        for i, title in enumerate(self.titles):
+            lookup.setdefault(title.lower(), i)
+        return lookup
 
     def title_to_node(self, text: str) -> int | None:
         """Lowest-index node whose title equals ``text`` case-insensitively."""
-        if self._title_lookup is None:
-            lookup: dict[str, int] = {}
-            for i, title in enumerate(self.titles):
-                lookup.setdefault(title.lower(), i)
-            self._title_lookup = lookup
         return self._title_lookup.get(text.lower())
 
     def validate(self) -> None:
-        """Full invariant scan; raises ValueError on any violation."""
-        for e, (u, v) in enumerate(self.edge_endpoints):
-            if u == v:
-                raise ValueError(f"self-loop at edge {e}")
-            if (u, e) not in self._adjacency[v] or (v, e) not in self._adjacency[u]:
-                raise ValueError(f"asymmetric adjacency at edge {e}")
-            preds = self.edge_predicates[e]
-            if len(set(preds)) != len(preds) or tuple(sorted(preds)) != preds:
-                raise ValueError(f"predicate list of edge {e} not sorted/unique")
-        for i, row in enumerate(self._adjacency):
-            if list(row) != sorted(row):
-                raise ValueError(f"adjacency row {i} not sorted")
-            if self.degrees[i] != len(row):
-                raise ValueError(f"stale degree cache at node {i}")
+        """Check every rule of the class docstring; ValueError on the first broken."""
+        n, k = len(self.ids), len(self.predicates)
+        u, v, ptr, pred = self.edge_u, self.edge_v, self.pred_ptr, self.pred_ids
+        if len(self.titles) != n:
+            raise ValueError("title table size does not match node table")
+        if len(self._index) != n:
+            raise ValueError("node identifiers are not unique")
+        if not (len(v) == len(u) == len(ptr) - 1 and ptr[0] == 0 and ptr[-1] == len(pred)):
+            raise ValueError("predicate table size does not match edge table")
+        bad = (u < 0) | (u >= v) | (v >= n)
+        bad[1:] |= (u[1:] < u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] <= v[:-1]))
+        if bad.any():
+            e = bad.argmax()
+            raise ValueError(f"edge {e} ({u[e]}, {v[e]}) breaks canonical order "
+                             f"(0 <= u < v < {n}, pairs increasing)")
+        empty = ptr[1:] <= ptr[:-1]
+        if empty.any():
+            raise ValueError(f"edge {empty.argmax()} has an empty predicate list")
+        if len(pred) and not 0 <= pred.min() <= pred.max() < k:
+            raise ValueError("predicate index out of range")
+        rising = np.diff(pred) > 0
+        rising[ptr[1:-1] - 1] = True  # a run may start below the previous one
+        if not rising.all():
+            e = np.searchsorted(ptr, rising.argmin(), side="right") - 1
+            raise ValueError(f"predicate list of edge {e} not sorted/unique")
+        if any(a >= b for a, b in zip(self.predicates, self.predicates[1:])):
+            raise ValueError("predicate table not sorted/unique")
+        if np.count_nonzero(np.bincount(pred, minlength=k)) < k:
+            raise ValueError("predicate table holds a predicate no edge carries")
 
 
 # Snapshot layout, version 1; every integer is little-endian and unsigned.
@@ -541,18 +566,17 @@ _EDGE = struct.Struct("<IIH")
 
 def save_snapshot(g: KnowledgeGraph, path) -> None:
     """Serialize the graph; identical structures produce identical bytes."""
-    pred_table = sorted({p for preds in g.edge_predicates for p in preds})
-    pred_index = {p: i for i, p in enumerate(pred_table)}
+    ptr = g.pred_ptr.tolist()
+    preds = g.pred_ids.astype("<u4").tobytes()
     with open(path, "wb") as out:
-        out.write(_HEADER.pack(_MAGIC, _VERSION, len(g.ids), g.num_edges, len(pred_table)))
-        for s in (*g.ids, *g.titles, *pred_table):
+        out.write(_HEADER.pack(_MAGIC, _VERSION, len(g.ids), g.num_edges, len(g.predicates)))
+        for s in (*g.ids, *g.titles, *g.predicates):
             raw = s.encode("utf-8")
             out.write(_U32.pack(len(raw)))
             out.write(raw)
-        for (u, v), preds in zip(g.edge_endpoints, g.edge_predicates):
-            out.write(_EDGE.pack(u, v, len(preds)))
-            for p in preds:
-                out.write(_U32.pack(pred_index[p]))
+        for u, v, a, b in zip(g.edge_u.tolist(), g.edge_v.tolist(), ptr, ptr[1:]):
+            out.write(_EDGE.pack(u, v, b - a))
+            out.write(preds[_U32.size * a:_U32.size * b])
 
 
 def load_snapshot(path) -> KnowledgeGraph:
@@ -574,27 +598,25 @@ def load_snapshot(path) -> KnowledgeGraph:
             if pos > len(buf):
                 raise SnapshotError("truncated snapshot file")
             strings.append(buf[pos - size:pos].decode("utf-8"))
-        pred_table = strings[2 * n_nodes:]
-        endpoints, predicates = [], []
+        edge_u, edge_v, pred_ptr, preds = array("q"), array("q"), array("q", [0]), bytearray()
         for _ in range(n_edges):
             u, v, k = _EDGE.unpack_from(buf, pos)
-            pos += _EDGE.size
-            preds = []
-            for _ in range(k):
-                preds.append(pred_table[_U32.unpack_from(buf, pos)[0]])
-                pos += _U32.size
-            endpoints.append((u, v))
-            predicates.append(tuple(preds))
+            edge_u.append(u)
+            edge_v.append(v)
+            pred_ptr.append(pred_ptr[-1] + k)
+            pos += _EDGE.size + _U32.size * k
+            preds += buf[pos - _U32.size * k:pos]
     except struct.error:
         raise SnapshotError("truncated snapshot file") from None
-    except IndexError:
-        raise SnapshotError("predicate index out of range") from None
     except UnicodeDecodeError:
         raise SnapshotError("snapshot string is not valid UTF-8") from None
     if pos != len(buf):
-        raise SnapshotError("trailing bytes after snapshot payload")
+        raise SnapshotError("truncated snapshot file" if pos > len(buf)
+                            else "trailing bytes after snapshot payload")
     try:
-        return KnowledgeGraph(strings[:n_nodes], strings[n_nodes:2 * n_nodes],
-                              endpoints, predicates)
+        return KnowledgeGraph.from_columns(
+            strings[:n_nodes], strings[n_nodes:2 * n_nodes], strings[2 * n_nodes:],
+            *(np.frombuffer(c, dtype=np.int64) for c in (edge_u, edge_v, pred_ptr)),
+            np.frombuffer(preds, dtype="<u4").astype(np.int64))
     except ValueError as exc:
         raise SnapshotError(f"inconsistent snapshot: {exc}") from None

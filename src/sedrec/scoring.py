@@ -84,12 +84,7 @@ class ScoringConfig:
 def _core(u: SubGraph, costs: EdgeCosts, pinned: set[int]):
     """Local ids and sorted (neighbour, cost) rows of the union's core graph,
     peeled down to members of degree >= 2 and the ``pinned`` seeds."""
-    endpoints = u.parent.edge_endpoints
-    adj: dict[int, list[tuple[int, int]]] = {m: [] for m in u.members}
-    for e in u.edges:
-        a, b = endpoints[e]
-        adj[a].append((b, e))
-        adj[b].append((a, e))
+    adj = u.adjacency()
     degree = {m: len(row) for m, row in adj.items()}
     peel = [m for m, d in degree.items() if d <= 1 and m not in pinned]
     dropped = set()
@@ -103,8 +98,8 @@ def _core(u: SubGraph, costs: EdgeCosts, pinned: set[int]):
                     peel.append(v)
     local = {m: i for i, m in enumerate(sorted(adj.keys() - dropped))}
     cost = costs.cost
-    rows = [sorted((local[v], cost(m, v, e)) for v, e in adj[m] if v in local)
-            for m in local]
+    # adjacency rows are sorted, and local ids keep the members' order
+    rows = [[(local[v], cost(m, v, e)) for v, e in adj[m] if v in local] for m in local]
     return local, rows
 
 

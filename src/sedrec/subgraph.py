@@ -51,17 +51,14 @@ class SubGraph:
         return len(self.members)
 
     def adjacency(self) -> dict[int, list[tuple[int, int]]]:
-        """Adjacency restricted to this subgraph's edges, sorted per node.
-
-        Scoring builds its own core graph; perfbench and the test oracles call this.
-        """
+        """(neighbour, edge) rows of every member over this subgraph's edges;
+        read in edge (canonical) order, each row comes out sorted."""
+        edge_u, edge_v = memoryview(self.parent.edge_u), memoryview(self.parent.edge_v)
         adj: dict[int, list[tuple[int, int]]] = {m: [] for m in self.members}
-        for e in self.edges:
-            u, v = self.parent.edge_endpoints[e]
+        for e in sorted(self.edges):
+            u, v = edge_u[e], edge_v[e]
             adj[u].append((v, e))
             adj[v].append((u, e))
-        for row in adj.values():
-            row.sort()
         return adj
 
 
@@ -72,26 +69,26 @@ def expand(g: KnowledgeGraph, seeds: Iterable[str | int],
     Members are all nodes within the radius of some seed; an edge is included
     exactly when it extends a path of length <= radius from a seed, i.e. when
     its closer endpoint lies strictly inside the radius. Seeds missing from
-    the parent graph are dropped and reported via ``missing_seeds``.
+    the parent graph are dropped and reported via ``missing_seeds``; a node
+    index outside it raises ``UnknownNodeError``.
     """
     present: set[int] = set()
     missing: set[str] = set()
     for s in seeds:
-        if isinstance(s, str):
-            if g.has_node(s):
-                present.add(g.node_index(s))
-            else:
-                missing.add(s)
+        if isinstance(s, str) and not g.has_node(s):
+            missing.add(s)
         else:
-            present.add(s)
+            present.add(g.resolve(s))
 
+    # the CSR rows read through memoryviews give Python ints, not numpy scalars
+    ptr, nbrs, edge_id = memoryview(g.indptr), memoryview(g.indices), memoryview(g.edge_id)
     depth: dict[int, int] = {s: 0 for s in present}
     frontier = list(present)
     d = 0
     while frontier and d < cfg.radius:
         nxt = []
         for u in frontier:
-            for v, _ in g.neighbors(u):
+            for v in nbrs[ptr[u]:ptr[u + 1]]:
                 if v not in depth:
                     depth[v] = d + 1
                     nxt.append(v)
@@ -102,7 +99,8 @@ def expand(g: KnowledgeGraph, seeds: Iterable[str | int],
     interior = cfg.radius - 1
     for u, du in depth.items():
         if du <= interior:
-            for v, e in g.neighbors(u):
+            a, b = ptr[u], ptr[u + 1]
+            for v, e in zip(nbrs[a:b], edge_id[a:b]):
                 if v in depth:
                     edges.add(e)
     return SubGraph(

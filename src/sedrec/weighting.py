@@ -8,6 +8,7 @@ computed from whole-graph predicate statistics.
 
 from __future__ import annotations
 
+import functools
 import math
 from enum import Enum
 
@@ -41,28 +42,22 @@ def rws_cost(g: KnowledgeGraph, source: int, target: int) -> float:
     return 1.0 - len(ns & g.closed_neighborhood(target)) / len(ns)
 
 
-def _incidence(g: KnowledgeGraph):
-    """Predicate names by id, each (edge, predicate)'s predicate id, each edge's
-    predicate count, and ``predicate * len(g) + node`` keys: all u, then all v."""
-    names: dict[str, int] = {}
-    pred = np.fromiter((names.setdefault(p, len(names))
-                        for preds in g.edge_predicates for p in preds), dtype=np.int64)
-    width = np.fromiter(map(len, g.edge_predicates), dtype=np.int64, count=g.num_edges)
-    ends = np.repeat(np.array(g.edge_endpoints, dtype=np.int64), width, axis=0)
-    key = pred * len(g)
-    return list(names), pred, width, np.concatenate([key + ends[:, 0], key + ends[:, 1]])
+def _incidence(g: KnowledgeGraph) -> np.ndarray:
+    """A ``predicate * len(g) + node`` key per (edge, predicate): all u, then all v."""
+    width = np.diff(g.pred_ptr)
+    key = g.pred_ids * len(g)
+    return np.concatenate([key + np.repeat(g.edge_u, width), key + np.repeat(g.edge_v, width)])
 
 
-def _frequency(g: KnowledgeGraph, scheme: WeightingScheme, pred: np.ndarray,
-               keys: np.ndarray) -> list[float]:
+def _frequency(g: KnowledgeGraph, scheme: WeightingScheme) -> list[float]:
     """Normalized scores by predicate id: each log from ``math.log``."""
     if scheme not in (WeightingScheme.AF, WeightingScheme.IAF, WeightingScheme.AF_IAF):
         raise ValueError(f"{scheme} is not a frequency scheme")
-    counts = np.bincount(pred)
+    counts = np.bincount(g.pred_ids)
     af = (counts / counts.max()).tolist()
     # incident nodes per predicate: its distinct (predicate, node) keys, found
     # by sorting, since the first np.unique call costs about 1 MB of RSS
-    keys = np.sort(keys)
+    keys = np.sort(_incidence(g))
     distinct = keys[np.diff(keys, prepend=-1) != 0]
     raw = [math.log(len(g) / k) for k in np.bincount(distinct // len(g)).tolist()]
     mx = max(raw)
@@ -81,8 +76,7 @@ def frequency_scores(g: KnowledgeGraph, scheme: WeightingScheme) -> dict[str, fl
     """
     if not g.num_edges:
         return {}
-    names, pred, _, keys = _incidence(g)
-    return dict(zip(names, _frequency(g, scheme, pred, keys)))
+    return dict(zip(g.predicates, _frequency(g, scheme)))
 
 
 def frequency_costs(g: KnowledgeGraph, scheme: WeightingScheme) -> tuple[float, ...]:
@@ -93,9 +87,8 @@ def frequency_costs(g: KnowledgeGraph, scheme: WeightingScheme) -> tuple[float, 
     """
     if not g.num_edges:
         return ()
-    _, pred, width, keys = _incidence(g)
-    best = np.maximum.reduceat(np.array(_frequency(g, scheme, pred, keys))[pred],
-                               np.cumsum(width) - width)
+    best = np.maximum.reduceat(np.array(_frequency(g, scheme))[g.pred_ids],
+                               g.pred_ptr[:-1])
     return tuple((1.0 - best).tolist())
 
 
@@ -115,20 +108,18 @@ def joint_ic_costs(g: KnowledgeGraph) -> tuple[float, ...]:
     """
     if not g.num_edges:
         return ()
-    _, pred, width, keys = _incidence(g)
-    counts = np.bincount(pred).tolist()
+    counts = np.bincount(g.pred_ids).tolist()
     total = sum(counts)
     # (predicate, node) incidence counts, then each orientation's object degree
-    _, slot = np.unique(keys, return_inverse=True)
-    del keys  # 16 bytes per incidence: freed before the next peak
+    _, slot = np.unique(_incidence(g), return_inverse=True)
     degree = np.bincount(slot)[slot]
     span = int(degree.max()) + 1
-    keys, which = np.unique(np.concatenate([pred, pred]) * span + degree,
+    keys, which = np.unique(np.concatenate([g.pred_ids, g.pred_ids]) * span + degree,
                             return_inverse=True)
     ic = np.array([(-math.log(counts[p] / total)) + (-math.log(d / (2 * counts[p])))
                    for p, d in zip((keys // span).tolist(), (keys % span).tolist())])
-    best = np.maximum(ic[which[:len(pred)]], ic[which[len(pred):]])
-    ics = np.maximum.reduceat(best, np.cumsum(width) - width)
+    best = np.maximum(ic[which[:len(g.pred_ids)]], ic[which[len(g.pred_ids):]])
+    ics = np.maximum.reduceat(best, g.pred_ptr[:-1])
     lo, hi = ics.min(), ics.max()
     if hi == lo:
         return (0.0,) * g.num_edges
@@ -143,7 +134,8 @@ class EdgeCosts:
     ``joint_ic_costs``. RWS is direction dependent, but the size k of the
     endpoints' closed-neighbourhood intersection is not: k is computed lazily
     per queried edge, since only union-graph edges are ever relaxed, and
-    memoized by edge index; either direction reads
+    memoized by edge index, over neighbourhoods memoized by
+    ``functools.lru_cache``; either direction reads
     ``1 - k / (degree(source) + 1)``. Safe for concurrent reads; racing memo
     inserts write identical values.
     """
@@ -152,7 +144,7 @@ class EdgeCosts:
         self.graph = g
         self.scheme = scheme
         self._shared: dict[int, int] = {}
-        self._nbhd: dict[int, frozenset[int]] = {}
+        self._closed = functools.lru_cache(maxsize=None)(g.closed_neighborhood)
         self._table: tuple[float, ...] | None = None
         if scheme is WeightingScheme.UNWEIGHTED:
             self._table = (1.0,) * g.num_edges
@@ -160,13 +152,6 @@ class EdgeCosts:
             self._table = joint_ic_costs(g)
         elif scheme is not WeightingScheme.RWS:
             self._table = frequency_costs(g, scheme)
-
-    def _closed(self, node: int) -> frozenset[int]:
-        nb = self._nbhd.get(node)
-        if nb is None:
-            nb = self.graph.closed_neighborhood(node)
-            self._nbhd[node] = nb
-        return nb
 
     def cost(self, source: int, target: int, edge: int) -> float:
         """Cost of relaxing ``edge`` in the direction source->target."""

@@ -1,10 +1,14 @@
+import gc
 import gzip
 import hashlib
 import io
 import itertools
+import random
 import struct
+import tracemalloc
 import weakref
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +24,7 @@ from sedrec.kg import (
     read_stoplist,
     save_snapshot,
 )
+from sedrec.subgraph import expand
 
 from helpers import IDENTITY_PRUNE, graph_from_edges, lit, nt
 from oracles import build_graph_lists
@@ -315,6 +320,81 @@ def test_constructor_rejects_non_canonical_edges(edges):
         KnowledgeGraph("abc", "ABC", edges, [("p",)] * len(edges))
 
 
+@pytest.mark.parametrize("preds, message", [
+    ([("q", "p")], "not sorted/unique"),
+    ([("p", "p")], "not sorted/unique"),
+    ([()], "empty predicate list"),
+], ids=["unsorted", "repeated", "empty"])
+def test_constructor_rejects_bad_predicate_lists(preds, message):
+    with pytest.raises(ValueError, match=message):
+        KnowledgeGraph("ab", "AB", [(0, 1)], preds)
+
+
+def test_from_columns_rejects_bad_predicate_table():
+    cols = [np.array(c, dtype=np.int64) for c in ([0], [1], [0, 1], [0])]
+    for table, message in [(("q", "p"), "sorted/unique"), (("p", "q"), "no edge carries"),
+                           ((), "out of range")]:
+        with pytest.raises(ValueError, match=message):
+            KnowledgeGraph.from_columns("ab", "AB", table, *cols)
+
+
+@pytest.mark.parametrize("call", [
+    lambda g: g.edge_between(-1, 1),
+    lambda g: g.edge_between(0, 3),
+    lambda g: g.closed_neighborhood(-1),
+    lambda g: expand(g, [-1]),
+    lambda g: expand(g, [7]),
+], ids=["edge-between-negative", "edge-between-past-end", "neighborhood-negative",
+        "expand-negative", "expand-past-end"])
+def test_node_indices_are_range_checked(call):
+    g = graph_from_edges([("a", "b"), ("b", "c")])
+    with pytest.raises(UnknownNodeError):
+        call(g)
+
+
+def test_edge_columns_and_csr_agree_with_the_views():
+    g = graph_from_edges([("a", "b", "p"), ("a", "c", "q"), ("b", "c", "p"),
+                          ("b", "c", "r"), ("c", "d", "q")])
+    assert g.predicates == ("p", "q", "r")
+    assert g.edge_endpoints == tuple(zip(g.edge_u.tolist(), g.edge_v.tolist()))
+    assert g.edge_predicates == (("p",), ("q",), ("p", "r"), ("q",))
+    assert g.pred_ptr.tolist() == [0, 1, 2, 4, 5] and g.pred_ids.tolist() == [0, 1, 0, 2, 1]
+    for x in range(len(g)):
+        row = [(v, e) for e, (a, b) in enumerate(g.edge_endpoints)
+               for v in ((b,) if a == x else (a,) if b == x else ())]
+        assert g.neighbors(x) == tuple(sorted(row))
+        assert g.degrees[x] == len(row)
+    # built once, not per access
+    assert g.edge_endpoints is g.edge_endpoints
+    assert g.edge_predicates is g.edge_predicates
+
+
+def test_graph_memory_per_edge(tmp_path):
+    """A loaded graph holds arrays, not per-edge Python objects: 116 bytes
+    per edge here with the node tables, against 389 with tuple rows."""
+    rng = random.Random(7)
+    n, m = 5000, 20000
+    edges = {}
+    while len(edges) < m:
+        u, v = sorted(rng.sample(range(n), 2))
+        edges[(u, v)] = tuple(sorted(rng.sample([f"rel.p{k}" for k in range(12)],
+                                                rng.choice((1, 1, 1, 2)))))
+    pairs = sorted(edges)
+    path = tmp_path / "g.snap"
+    save_snapshot(KnowledgeGraph([f"m.{i:05d}" for i in range(n)],
+                                 [f"Node {i}" for i in range(n)],
+                                 pairs, [edges[p] for p in pairs]), path)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        g = load_snapshot(path)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.num_edges == m
+    assert held / m < 150
+
+
 def test_title_lookup_is_case_insensitive_lowest_index():
     triples = [
         nt("a", "p", "b"), nt("b", "p", "c"),
@@ -376,13 +456,16 @@ def test_snapshot_wrong_version(tmp_path):
         load_snapshot(path)
 
 
-def pack_snapshot(ids, edges, preds=("rel",)):
-    """v1 snapshot bytes, packed by hand; titles equal ids, each edge has predicate 0."""
+def pack_snapshot(ids, edges, preds=("rel",), runs=None):
+    """v1 snapshot bytes, packed by hand; titles equal ids, and edge i carries
+    the predicate-table indices ``runs[i]`` (by default predicate 0 alone)."""
+    runs = [[0]] * len(edges) if runs is None else runs
     out = [struct.pack("<8sIIII", b"SEDKGRPH", 1, len(ids), len(edges), len(preds))]
     for s in (*ids, *ids, *preds):
         raw = s.encode("utf-8")
         out += [struct.pack("<I", len(raw)), raw]
-    out += [struct.pack("<IIHI", u, v, 1, 0) for u, v in edges]
+    out += [struct.pack(f"<IIH{len(run)}I", u, v, len(run), *run)
+            for (u, v), run in zip(edges, runs)]
     return b"".join(out)
 
 
@@ -404,8 +487,15 @@ def test_hand_packed_snapshot_matches_saved_bytes(tmp_path):
     (pack_snapshot("abc", [(1, 2), (0, 1)]), "inconsistent snapshot"),
     (pack_snapshot("ab", [(0, 1), (0, 1)]), "inconsistent snapshot"),
     (pack_snapshot("ab", [(1, 0)]), "inconsistent snapshot"),
+    (pack_snapshot("ab", [(0, 1)], ("p", "q"), [[1, 0]]), "inconsistent snapshot"),
+    (pack_snapshot("ab", [(0, 1)], ("p",), [[0, 0]]), "inconsistent snapshot"),
+    (pack_snapshot("ab", [(0, 1)], ("q", "p"), [[0, 1]]), "inconsistent snapshot"),
+    (pack_snapshot("ab", [(0, 1)], ("p", "q"), [[0]]), "inconsistent snapshot"),
+    (pack_snapshot("ab", [(0, 1)], ("p",), [[]]), "inconsistent snapshot"),
 ], ids=["short-magic", "predicate-index", "trailing", "string-past-end",
-        "last-string-past-end", "utf8", "unsorted-edges", "duplicate-edge", "reversed-edge"])
+        "last-string-past-end", "utf8", "unsorted-edges", "duplicate-edge", "reversed-edge",
+        "unsorted-predicates", "repeated-predicate", "unsorted-table", "unused-table-entry",
+        "no-predicate"])
 def test_corrupt_snapshot_is_snapshot_error(tmp_path, data, message):
     path = tmp_path / "bad.snap"
     path.write_bytes(data)
