@@ -487,11 +487,12 @@ class KnowledgeGraph:
             raise UnknownNodeError(f"node index {node} out of range")
         return node
 
-    def title(self, node: int) -> str:
-        return self.titles[node]
+    def title(self, node: int | str) -> str:
+        return self.titles[self.resolve(node)]
 
-    def neighbors(self, node: int) -> tuple[tuple[int, int], ...]:
+    def neighbors(self, node: int | str) -> tuple[tuple[int, int], ...]:
         """Sorted (neighbor, edge index) pairs for ``node``."""
+        node = self.resolve(node)
         a, b = self.indptr[node], self.indptr[node + 1]
         return tuple(zip(self.indices[a:b].tolist(), self.edge_id[a:b].tolist()))
 

@@ -1,25 +1,35 @@
 """Pairwise article distances: entity-set shortest distances over union
 subgraphs, cosine baselines, z-normalization, and score tables.
 
-Article distances are computed in two passes. Pass one (``pass_one``) calls
-``pair_matrices`` for every evaluated pair: raw seed-to-seed distances over
-the pair's union graph, in both directions, so the corpus-wide maximum finite
-path cost is shared by all variants and their cross-run identities hold
-exactly. Its ``PassOne`` result depends only on expansion, weighting,
-screening and context words, and can be aggregated many times. Pass two
-(``score_from``) calls ``aggregate`` per pair: it normalizes raw costs onto
-[0, 1], substitutes the disconnection penalty for unreachable or unresolvable
-seeds, and applies the ROW/SYM/AVG rule. ``score_sed`` runs both passes;
+Article distances are computed in two passes. Pass one (``pass_one``) finds
+the raw seed-to-seed distances of every evaluated pair over the pair's union
+graph, in both directions, so the corpus-wide maximum finite path cost is
+shared by all variants and their cross-run identities hold exactly. Its
+``PassOne`` result depends only on expansion, weighting, screening and
+context words, and can be aggregated many times. Pass two (``score_from``)
+calls ``aggregate`` per pair: it normalizes raw costs onto [0, 1],
+substitutes the disconnection penalty for unreachable or unresolvable seeds,
+and applies the ROW/SYM/AVG rule. ``score_sed`` runs both passes;
 ``sed_variant`` is the same two steps for a single pair.
 
-Every distance runs over a weighted core graph (``_core``): the union on
-local ids after repeatedly dropping members of union degree <= 1 that are
-not requested seeds, with one cost looked up per surviving directed edge.
-Each Dijkstra (``_shortest``) stops once its last target is settled. Both
-are exact. A non-seed member of degree <= 1 lies inside no path between two
-seeds, and relaxing back from it gives ``d + c >= d`` in floating point, so
-it never lowers a distance; settled Dijkstra distances are final; and local
-ids change only the heap's tie order, not the distance values.
+Pass one works on arrays up to the core graphs. ``subgraph.expand_many``
+expands every article at once, and ``_core_batch`` builds the core graphs of
+a batch of pairs in one numpy pass: union edges keyed ``pair * E + edge``,
+node slots keyed ``pair * n + node``, the pinned seeds, a round-based peel
+of the members of union degree <= 1 that are not pinned, local ids in
+sorted member order, and directed rows sorted by neighbour. ``_cores`` then
+turns one pair at a time into Python rows, with one ``cost()`` per surviving
+directed edge, for the early-stopping Dijkstra (``_shortest``/``_matrix``).
+``pair_matrices``, ``distance_matrix`` and ``node_pair_distance`` are the
+same code on a batch of one union.
+
+This is exact. A non-seed member of degree <= 1 lies inside no path between
+two seeds, and relaxing back from it gives ``d + c >= d`` in floating point,
+so it never lowers a distance. Peeling in rounds drops the same members as
+peeling one at a time: both keep the largest member set that holds every
+pinned seed and in which every other member has degree >= 2. Settled
+Dijkstra distances are final, and the rows and local ids are those of a
+per-pair build, so every heap sees the same entries in the same order.
 """
 
 from __future__ import annotations
@@ -48,7 +58,7 @@ from .articles import (
 from .delimited import Number, read_table, write_table
 from .errors import InputDataError
 from .kg import KnowledgeGraph
-from .subgraph import ExpansionConfig, SubGraph, expand, union
+from .subgraph import ExpansionConfig, SubGraph, distinct, expand_many, offsets
 from .weighting import EdgeCosts, WeightingScheme
 
 log = logging.getLogger(__name__)
@@ -81,26 +91,110 @@ class ScoringConfig:
 
 # ------------------------------------------------------------- distances
 
-def _core(u: SubGraph, costs: EdgeCosts, pinned: set[int]):
-    """Local ids and sorted (neighbour, cost) rows of the union's core graph,
-    peeled down to members of degree >= 2 and the ``pinned`` seeds."""
-    adj = u.adjacency()
-    degree = {m: len(row) for m, row in adj.items()}
-    peel = [m for m, d in degree.items() if d <= 1 and m not in pinned]
-    dropped = set()
-    while peel:
-        m = peel.pop()
-        dropped.add(m)
-        for v, _ in adj[m]:
-            if v not in dropped:
-                degree[v] -= 1
-                if degree[v] == 1 and v not in pinned:
-                    peel.append(v)
-    local = {m: i for i, m in enumerate(sorted(adj.keys() - dropped))}
+# A batch of core graphs holds at most this many union edges, or the graph's
+# edge count when that is larger: pass-one memory stays within a constant
+# factor of the graph, whatever the number of pairs.
+_BATCH_EDGES = 2 ** 16
+
+
+def _core_batch(g: KnowledgeGraph, members: Sequence[Sequence[np.ndarray]],
+                edges: Sequence[Sequence[np.ndarray]], pinned: Sequence[Sequence[int]]):
+    """Core graphs of a batch of unions, in arrays.
+
+    Union ``p`` is the union of the arrays ``members[p]`` and ``edges[p]``, and
+    ``pinned[p]`` lists its pinned members, distinct. Returns the directed core
+    edges sorted by source slot, then by neighbour (their ``source`` and
+    ``target`` nodes, ``local`` target ids and ``edge`` ids); each slot's first
+    entry ``row``, one past the last slot's; each pair's first slot ``first``,
+    one past the last pair's; and each pinned member's local id, in order.
+    """
+    n, m = len(g), max(g.num_edges, 1)
+
+    def keyed(parts, width):
+        keys = np.concatenate([x for part in parts for x in part])
+        keys += offsets([sum(map(len, part)) for part in parts], width)
+        return distinct(keys)
+
+    pair, edge = np.divmod(keyed(edges, m), m)
+    slots = keyed(members, n)
+    su = np.searchsorted(slots, pair * n + g.edge_u[edge])
+    sv = np.searchsorted(slots, pair * n + g.edge_v[edge])
+    pins = np.searchsorted(slots, offsets([len(p) for p in pinned], n)
+                           + np.fromiter((x for p in pinned for x in p), np.int64))
+    # peel, a round at a time, the members of degree <= 1 that are not pinned
+    free = np.ones(len(slots), dtype=bool)
+    free[pins] = False
+    degree = np.bincount(su, minlength=len(slots)) + np.bincount(sv, minlength=len(slots))
+    while True:
+        drop = free & (degree <= 1)
+        if not drop.any():
+            break
+        free &= ~drop
+        gone = drop[su] | drop[sv]
+        degree -= (np.bincount(su[gone], minlength=len(slots))
+                   + np.bincount(sv[gone], minlength=len(slots)))
+        su, sv, edge = su[~gone], sv[~gone], edge[~gone]
+    keep = free
+    keep[pins] = True
+    rank = np.cumsum(keep) - 1
+    kept = slots[keep]
+    first = np.searchsorted(kept, np.arange(len(pinned) + 1) * n)
+    node = kept % n
+    local = np.arange(len(kept)) - first[kept // n]
+    # each edge both ways in canonical edge order, so entry i's reverse is
+    # entry i ^ 1 and its edge edge[i >> 1]: a stable sort by source slot
+    # leaves every row sorted by neighbour, as in SubGraph.adjacency
+    ends = rank[np.stack([su, sv], axis=1).ravel()]
+    order = np.argsort(ends, kind="stable")
+    target = ends[order ^ 1]
+    ends = ends[order]
+    row = np.searchsorted(ends, np.arange(len(kept) + 1))
+    return (node[ends], node[target], local[target], edge[order >> 1], row, first,
+            local[rank[pins]])
+
+
+def _cores(g: KnowledgeGraph, costs: EdgeCosts, members, edges,
+           pinned: Sequence[Sequence[int]]):
+    """Yield each union's core graph: a dict from its pinned members to local
+    ids, and its sorted (neighbour, cost) rows on local ids.
+
+    One ``_core_batch`` builds them all, and its temporaries are freed before
+    the first yield. Rows become Python lists one pair at a time, with one
+    ``cost()`` per directed core edge.
+    """
+    source, target, local, edge, row, first, pin_local = _core_batch(g, members, edges, pinned)
+    row, first, pin_local = row.tolist(), first.tolist(), pin_local.tolist()
     cost = costs.cost
-    # adjacency rows are sorted, and local ids keep the members' order
-    rows = [[(local[v], cost(m, v, e)) for v, e in adj[m] if v in local] for m in local]
-    return local, rows
+    at = 0
+    for p, pins in enumerate(pinned):
+        a, b = first[p], first[p + 1]
+        lo, hi = row[a], row[b]
+        entries = list(zip(local[lo:hi].tolist(),
+                           map(cost, source[lo:hi].tolist(), target[lo:hi].tolist(),
+                               edge[lo:hi].tolist())))
+        yield (dict(zip(pins, pin_local[at:at + len(pins)])),
+               [entries[x - lo:y - lo] for x, y in zip(row[a:b], row[a + 1:b + 1])])
+        at += len(pins)
+
+
+def _batch_matrices(g: KnowledgeGraph, costs: EdgeCosts, members, edges,
+                    queries: Sequence[tuple[list[int | None], list[int | None]]]):
+    """Forward and backward matrices of each union between its two seed lists
+    ``queries[p]``, over one core graph pinned at both."""
+    pinned = [sorted({*n1, *n2} - {None}) for n1, n2 in queries]
+    return [(_matrix(core, n1, n2), _matrix(core, n2, n1))
+            for core, (n1, n2) in zip(_cores(g, costs, members, edges, pinned), queries)]
+
+
+def _union_core(u: SubGraph, costs: EdgeCosts, pinned: set[int]):
+    """The core graph of one union, as a batch of one."""
+    (core,) = _cores(u.parent, costs, [(_array(u.members),)], [(_array(u.edges),)],
+                     [sorted(pinned)])
+    return core
+
+
+def _array(values: frozenset[int]) -> np.ndarray:
+    return np.fromiter(values, np.int64, len(values))
 
 
 def _shortest(rows: list[list[tuple[int, float]]], source: int,
@@ -154,7 +248,7 @@ def node_pair_distance(u: SubGraph, costs: EdgeCosts, source: int, target: int) 
         raise ValueError(f"source node {source} is not in the union graph")
     if target not in u.members:
         raise ValueError(f"target node {target} is not in the union graph")
-    return _matrix(_core(u, costs, {source, target}), [source], [target])[0][0]
+    return _matrix(_union_core(u, costs, {source, target}), [source], [target])[0][0]
 
 
 def distance_matrix(u: SubGraph, costs: EdgeCosts,
@@ -165,7 +259,7 @@ def distance_matrix(u: SubGraph, costs: EdgeCosts,
     as DISCONNECTED entries.
     """
     sources, targets = _union_nodes(u, from_ids), _union_nodes(u, to_ids)
-    return _matrix(_core(u, costs, {*sources, *targets} - {None}), sources, targets)
+    return _matrix(_union_core(u, costs, {*sources, *targets} - {None}), sources, targets)
 
 
 def normalize_distance(raw: float, corpus_max_finite: float, penalty: float) -> float:
@@ -183,9 +277,8 @@ def pair_matrices(u: SubGraph, costs: EdgeCosts, s1: Sequence[str],
 
     Both directions run over one core graph pinned at the seeds of both sets.
     """
-    n1, n2 = _union_nodes(u, s1), _union_nodes(u, s2)
-    core = _core(u, costs, {*n1, *n2} - {None})
-    return _matrix(core, n1, n2), _matrix(core, n2, n1)
+    return _batch_matrices(u.parent, costs, [(_array(u.members),)], [(_array(u.edges),)],
+                           [(_union_nodes(u, s1), _union_nodes(u, s2))])[0]
 
 
 def aggregate(forward: list[list[float]], backward: list[list[float]],
@@ -383,24 +476,45 @@ def compute_seed_sets(articles: Mapping[str, Article],
 _PAIR_CTX: dict | None = None
 
 
-def _pair_matrices(pair: Pair):
-    ctx = _PAIR_CTX
-    pid, a, b = pair
-    u = union(ctx["subgraphs"][a], ctx["subgraphs"][b])
-    return pid, *pair_matrices(u, ctx["costs"], sorted(ctx["seeds"][a]),
-                               sorted(ctx["seeds"][b]))
+def _chunk_matrices(pairs: Sequence[Pair], graph: KnowledgeGraph, costs: EdgeCosts,
+                    members: Mapping[str, np.ndarray], edges: Mapping[str, np.ndarray],
+                    nodes: Mapping[str, list[int | None]]):
+    """(pair_id, forward, backward) per pair, in batches of at most
+    ``max(graph.num_edges, _BATCH_EDGES)`` union edges, counted before the
+    two articles' edges are merged."""
+    cap = max(graph.num_edges, _BATCH_EDGES)
+    batches, size = [], 0
+    for pair in pairs:
+        grow = len(edges[pair[1]]) + len(edges[pair[2]])
+        if not batches or size + grow > cap:
+            batches.append([])
+            size = 0
+        batches[-1].append(pair)
+        size += grow
+    out = []
+    for batch in batches:
+        out += [(pid, *mats) for (pid, _, _), mats in zip(batch, _batch_matrices(
+            graph, costs, [(members[a], members[b]) for _, a, b in batch],
+            [(edges[a], edges[b]) for _, a, b in batch],
+            [(nodes[a], nodes[b]) for _, a, b in batch]))]
+    return out
+
+
+def _pair_chunk(pairs: list[Pair]):
+    return _chunk_matrices(pairs, **_PAIR_CTX)
 
 
 def _run_pair_pass(pairs: list[Pair], jobs: int):
     if jobs > 1:
         start = multiprocessing.get_start_method(allow_none=False)
         if start == "fork":
+            size = max(1, len(pairs) // (4 * jobs))
             with ProcessPoolExecutor(max_workers=jobs) as pool:
-                return list(pool.map(_pair_matrices, pairs,
-                                     chunksize=max(1, len(pairs) // (4 * jobs))))
+                return [r for chunk in pool.map(_pair_chunk, [
+                    pairs[i:i + size] for i in range(0, len(pairs), size)]) for r in chunk]
         log.warning("jobs=%d needs the 'fork' start method, not %r; "
                     "running the pair pass serially", jobs, start)
-    return [_pair_matrices(p) for p in pairs]
+    return _pair_chunk(pairs)
 
 
 _PASS_ONE_FIELDS = ("expansion", "weighting", "screening", "context_words")
@@ -425,7 +539,8 @@ def pass_one(kg: KnowledgeGraph, articles: Mapping[str, Article],
              pairs: Sequence[Pair],
              annotations: Mapping[str, list[EntityAnnotation]],
              cfg: ScoringConfig, jobs: int = 1) -> PassOne:
-    """Run ``pair_matrices`` for every pair and take the corpus-wide maximum.
+    """Every pair's ``pair_matrices``, from one batched expansion and batched
+    core graphs, and the corpus-wide maximum finite cost.
 
     Both directions are kept, so the normalization constant and the matrices
     serve every variant, penalty and direction. Results do not depend on
@@ -441,10 +556,15 @@ def pass_one(kg: KnowledgeGraph, articles: Mapping[str, Article],
         raise InputDataError(
             f"articles with no seed entities (no annotations or context words): {empty[:5]}"
         )
-    subgraphs = {aid: expand(kg, seeds[aid], cfg.expansion) for aid in sorted(seeds)}
+    aids = sorted(seeds)
+    nodes = {a: [kg.node_index(s) if kg.has_node(s) else None for s in sorted(seeds[a])]
+             for a in aids}
+    members, edges = expand_many(kg, [[x for x in nodes[a] if x is not None] for a in aids],
+                                 cfg.expansion.radius)
     costs = EdgeCosts(kg, cfg.weighting)
 
-    _PAIR_CTX = {"subgraphs": subgraphs, "seeds": seeds, "costs": costs}
+    _PAIR_CTX = {"graph": kg, "costs": costs, "members": dict(zip(aids, members)),
+                 "edges": dict(zip(aids, edges)), "nodes": nodes}
     try:
         results = _run_pair_pass(list(pairs), jobs)
     finally:

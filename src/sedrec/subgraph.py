@@ -1,9 +1,19 @@
-"""Per-article subgraphs: bounded breadth-first expansion and pairwise unions."""
+"""Per-article subgraphs: bounded breadth-first expansion and pairwise unions.
+
+``expand_many`` grows every article of a pass at once, in arrays over the
+graph's CSR rows: the article-keyed frontier ``article * n + node`` gathers
+its rows with ``np.repeat``, and each hop keeps the sorted distinct keys not
+seen before. ``expand`` is its one-article call and returns a ``SubGraph``,
+the frozenset form the oracles, perfbench and the single-pair scoring calls
+read.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .kg import KnowledgeGraph
 
@@ -62,6 +72,58 @@ class SubGraph:
         return adj
 
 
+def distinct(keys: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of an integer array, without ``np.unique``."""
+    keys = np.sort(keys)
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
+
+
+def contains(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Mask of the ``keys`` present in the sorted array ``table``."""
+    if not len(table):
+        return np.zeros(len(keys), dtype=bool)
+    return table[np.minimum(np.searchsorted(table, keys), len(table) - 1)] == keys
+
+
+def offsets(sizes: Sequence[int], width: int) -> np.ndarray:
+    """``i * width`` repeated ``sizes[i]`` times: the key offset of each
+    element of ``len(sizes)`` concatenated lists."""
+    return np.repeat(np.arange(len(sizes), dtype=np.int64) * width, sizes)
+
+
+def expand_many(g: KnowledgeGraph, seeds: Sequence[Sequence[int]],
+                radius: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Sorted member and edge arrays of each seed list's ``radius``-hop subgraph.
+
+    The seed lists hold valid node indices. One pass expands them all: keys
+    ``article * len(g) + node`` for members and ``article * num_edges + edge``
+    for edges. The rows gathered at the hops before the last are the rows of
+    the nodes strictly inside the radius, and an edge is kept when such a row
+    leads to a member, as ``expand`` defines.
+    """
+    n, m = len(g), max(g.num_edges, 1)
+    frontier = distinct(offsets([len(s) for s in seeds], n)
+                        + np.fromiter((x for s in seeds for x in s), np.int64))
+    seen, rows = frontier, []
+    for _ in range(radius):
+        node, article = frontier % n, frontier // n
+        start = g.indptr[node]
+        count = g.indptr[node + 1] - start
+        at = np.repeat(start - np.cumsum(count) + count, count) + np.arange(count.sum())
+        near = np.repeat(article * n, count) + g.indices[at]
+        rows.append((near, np.repeat(article * m, count) + g.edge_id[at]))
+        frontier = distinct(near)
+        frontier = frontier[~contains(seen, frontier)]
+        seen = np.sort(np.concatenate([seen, frontier]))
+    edges = distinct(np.concatenate([e[contains(seen, v)] for v, e in rows]))
+    split = np.arange(len(seeds) + 1)
+    bound_m, bound_e = np.searchsorted(seen, split * n), np.searchsorted(edges, split * m)
+    return ([seen[a:b] - i * n for i, (a, b) in enumerate(zip(bound_m, bound_m[1:]))],
+            [edges[a:b] - i * m for i, (a, b) in enumerate(zip(bound_e, bound_e[1:]))])
+
+
 def expand(g: KnowledgeGraph, seeds: Iterable[str | int],
            cfg: ExpansionConfig = ExpansionConfig()) -> SubGraph:
     """Grow a subgraph out to ``cfg.radius`` hops from every resolvable seed.
@@ -79,35 +141,12 @@ def expand(g: KnowledgeGraph, seeds: Iterable[str | int],
             missing.add(s)
         else:
             present.add(g.resolve(s))
-
-    # the CSR rows read through memoryviews give Python ints, not numpy scalars
-    ptr, nbrs, edge_id = memoryview(g.indptr), memoryview(g.indices), memoryview(g.edge_id)
-    depth: dict[int, int] = {s: 0 for s in present}
-    frontier = list(present)
-    d = 0
-    while frontier and d < cfg.radius:
-        nxt = []
-        for u in frontier:
-            for v in nbrs[ptr[u]:ptr[u + 1]]:
-                if v not in depth:
-                    depth[v] = d + 1
-                    nxt.append(v)
-        frontier = nxt
-        d += 1
-
-    edges: set[int] = set()
-    interior = cfg.radius - 1
-    for u, du in depth.items():
-        if du <= interior:
-            a, b = ptr[u], ptr[u + 1]
-            for v, e in zip(nbrs[a:b], edge_id[a:b]):
-                if v in depth:
-                    edges.add(e)
+    (members,), (edges,) = expand_many(g, [list(present)], cfg.radius)
     return SubGraph(
         parent=g,
         seeds=frozenset(present),
-        members=frozenset(depth),
-        edges=frozenset(edges),
+        members=frozenset(members.tolist()),
+        edges=frozenset(edges.tolist()),
         missing_seeds=frozenset(missing),
     )
 
@@ -123,4 +162,3 @@ def union(s1: SubGraph, s2: SubGraph) -> SubGraph:
         edges=s1.edges | s2.edges,
         missing_seeds=s1.missing_seeds | s2.missing_seeds,
     )
-

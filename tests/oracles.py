@@ -1,10 +1,11 @@
 """Independent brute-force reference implementations used to check the library.
 
 Everything here deliberately avoids the package's traversal and aggregation
-code paths: shortest distances come from exhaustive simple-path enumeration
-or from a full Dijkstra over the whole union graph, neighborhood overlap
-costs are recomputed from raw adjacency sets, the JointIC table is the
-per-orientation loop of its definition, the frequency tables are the
+code paths: subgraphs come from a Python breadth-first search, shortest
+distances from exhaustive simple-path enumeration or from a full Dijkstra
+over the whole union graph, neighborhood overlap costs are recomputed from
+raw adjacency sets, the JointIC table is the per-orientation loop of its
+definition, the frequency tables are the
 per-predicate loops of theirs, the pruned graph is built from a list of
 every record with set-based passes, and the article-distance aggregates
 follow their definitions directly.
@@ -231,6 +232,25 @@ def build_graph_lists(triples, cfg):
     predicates = tuple(tuple(sorted(edge_map[k])) for k in endpoints)
     stats.collapsed_edges = len(endpoints)
     return KnowledgeGraph(ids, titles, endpoints, predicates, prune_stats=stats)
+
+
+def expand_bfs(g, seeds, radius):
+    """Members and edges of the ``radius``-hop subgraph around the node list
+    ``seeds``, by a Python breadth-first search over ``g.neighbors``: an edge
+    is kept when its closer endpoint lies strictly inside the radius."""
+    depth = {s: 0 for s in seeds}
+    frontier = list(depth)
+    for d in range(radius):
+        nxt = []
+        for u in frontier:
+            for v, _ in g.neighbors(u):
+                if v not in depth:
+                    depth[v] = d + 1
+                    nxt.append(v)
+        frontier = nxt
+    edges = {e for u, du in depth.items() if du < radius
+             for v, e in g.neighbors(u) if v in depth}
+    return set(depth), edges
 
 
 def bfs_hops(adjacency, source):

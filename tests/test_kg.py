@@ -344,8 +344,13 @@ def test_from_columns_rejects_bad_predicate_table():
     lambda g: g.closed_neighborhood(-1),
     lambda g: expand(g, [-1]),
     lambda g: expand(g, [7]),
+    lambda g: g.neighbors(-1),
+    lambda g: g.neighbors(len(g)),
+    lambda g: g.title(-1),
+    lambda g: g.title(len(g)),
 ], ids=["edge-between-negative", "edge-between-past-end", "neighborhood-negative",
-        "expand-negative", "expand-past-end"])
+        "expand-negative", "expand-past-end", "neighbors-negative", "neighbors-past-end",
+        "title-negative", "title-past-end"])
 def test_node_indices_are_range_checked(call):
     g = graph_from_edges([("a", "b"), ("b", "c")])
     with pytest.raises(UnknownNodeError):

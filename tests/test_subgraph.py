@@ -2,9 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sedrec.subgraph import ExpansionConfig, expand, union
+from sedrec.subgraph import ExpansionConfig, expand, expand_many, union
 
 from helpers import graph_from_edges
+from oracles import expand_bfs
 
 
 def ids(g, *names):
@@ -182,3 +183,31 @@ def test_subgraph_structural_invariants(gs):
         assert u in sg.members and v in sg.members
     adj = sg.adjacency()
     assert set(adj) == sg.members
+
+
+@st.composite
+def graph_and_seed_lists(draw):
+    """A graph, maybe with an isolated node, and up to five seed lists that may
+    be empty or repeat one another."""
+    n = draw(st.integers(2, 12))
+    names = [f"n{i}" for i in range(n)]
+    possible = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
+    edges = draw(st.lists(st.sampled_from(possible), min_size=1, max_size=24))
+    g = graph_from_edges(edges, titles={"lone": "Lone"} if draw(st.booleans()) else None)
+    lists = draw(st.lists(st.lists(st.integers(0, len(g) - 1), max_size=4, unique=True)
+                          .map(sorted), max_size=5))
+    return g, lists
+
+
+@given(graph_and_seed_lists(), st.integers(1, 2))
+@settings(max_examples=120, deadline=None)
+def test_batched_expansion_equals_bfs_oracle(case, radius):
+    g, lists = case
+    members, edges = expand_many(g, lists, radius)
+    assert len(members) == len(edges) == len(lists)
+    for seeds, got_m, got_e in zip(lists, members, edges):
+        want_m, want_e = expand_bfs(g, seeds, radius)
+        assert got_m.tolist() == sorted(want_m)
+        assert got_e.tolist() == sorted(want_e)
+        sg = expand(g, seeds, ExpansionConfig(radius))
+        assert (sg.members, sg.edges) == (want_m, want_e)
