@@ -3,6 +3,8 @@
 The graph is built from a directed RDF triple stream and exposed as an
 undirected structure: parallel connections between a node pair are collapsed
 into one edge carrying the union of their predicate labels.
+
+The array primitives ``distinct``, ``_csr`` and ``peel`` serve ingest, expansion and core graphs.
 """
 
 from __future__ import annotations
@@ -208,16 +210,26 @@ def _title_priority(lang: str | None) -> int:
     return 2 if not lang else 3
 
 
-def _distinct(*cols: np.ndarray) -> list[np.ndarray]:
-    """The distinct rows of equal-length integer columns, in lexicographic order."""
-    if not len(cols[0]):
-        return list(cols)
-    order = np.lexsort(cols[::-1])
-    cols = [c[order] for c in cols]
-    first = np.zeros(len(order), dtype=bool)
-    first[0] = True
+def _run_starts(*cols: np.ndarray) -> np.ndarray:
+    """Mask of the first row of each run of equal rows in sorted, equal-length columns."""
+    first = np.zeros(len(cols[0]), dtype=bool)
+    first[:1] = True
     for c in cols:
         first[1:] |= c[1:] != c[:-1]
+    return first
+
+
+def distinct(keys: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of an integer array, without ``np.unique``."""
+    keys = np.sort(keys)
+    return keys[_run_starts(keys)]
+
+
+def _distinct(*cols: np.ndarray) -> list[np.ndarray]:
+    """The distinct rows of equal-length integer columns, in lexicographic order."""
+    order = np.lexsort(cols[::-1])
+    cols = [c[order] for c in cols]
+    first = _run_starts(*cols)
     return [c[first] for c in cols]
 
 
@@ -257,26 +269,29 @@ def _csr(u: np.ndarray, v: np.ndarray, n: int):
     return indptr, np.concatenate([u, v])[order], order - len(u) * (order >= len(u))
 
 
-def _two_core(ts: _Triples, n: int) -> np.ndarray:
-    """Mask of the nodes left once vertices of degree <= 1 in the simple
-    undirected graph of the node triples are removed until none remains."""
-    links = ts.s != ts.o
-    indptr, nbrs, _ = _csr(*_distinct(np.minimum(ts.s, ts.o)[links],
-                                      np.maximum(ts.s, ts.o)[links]), n)
-    degree = np.diff(indptr)
-    start, nbrs, left = indptr.tolist(), nbrs.tolist(), degree.tolist()
-    removed = (degree <= 1).tolist()
-    queue = np.flatnonzero(degree == 1).tolist()
-    while queue:
-        v = queue.pop()
-        for w in nbrs[start[v]:start[v + 1]]:
-            if removed[w]:
-                continue
-            left[w] -= 1
-            if left[w] <= 1:
-                removed[w] = True
-                queue.append(w)
-    return ~np.array(removed, dtype=bool)
+def peel(size: int, pinned, u: np.ndarray, v: np.ndarray, *cols: np.ndarray):
+    """Drop every node of degree <= 1 outside ``pinned``, with its edges, until
+    none is left, from the undirected edges (u[e], v[e]) over ``size`` nodes;
+    return the mask of the nodes left, then ``u``, ``v`` and each of ``cols``
+    on the edges left.
+
+    Rounds drop the same set as one-at-a-time: both keep the largest node set
+    that holds every pinned node and in which every other node has degree >= 2.
+    A round costs O(size + remaining edges); the number of rounds is the depth
+    of the deepest pendant tree."""
+    free = np.ones(size, dtype=bool)
+    free[pinned] = False
+    degree = np.bincount(u, minlength=size) + np.bincount(v, minlength=size)
+    while True:
+        drop = free & (degree <= 1)
+        if not drop.any():
+            break
+        free &= ~drop
+        gone = drop[u] | drop[v]
+        degree -= np.bincount(u[gone], minlength=size) + np.bincount(v[gone], minlength=size)
+        u, v, *cols = (c[~gone] for c in (u, v, *cols))
+    free[pinned] = True
+    return (free, u, v, *cols)
 
 
 def _ranks(strings: list[str], ids: Iterable[int]) -> tuple[list[int], np.ndarray]:
@@ -336,9 +351,7 @@ def _collapse(ts: _Triples, rank: np.ndarray, pred_ids: dict[str, int]):
     lo, hi, pr = _distinct(np.minimum(u, v)[links], np.maximum(u, v)[links],
                            pred_rank[ts.p][links])
     used = np.bincount(pr, minlength=len(pred_strings)) > 0
-    new_pair = np.ones(len(lo), dtype=bool)
-    new_pair[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
-    starts = np.flatnonzero(new_pair)
+    starts = np.flatnonzero(_run_starts(lo, hi))
     return ([pred_strings[pred_order[r]] for r in np.flatnonzero(used).tolist()], lo[starts],
             hi[starts], np.append(starts, len(pr)), (np.cumsum(used) - 1)[pr])
 
@@ -384,7 +397,10 @@ def build_graph(triples: Iterable[TripleRecord], cfg: PruneConfig) -> "Knowledge
     nodes = ts.census(n, "out-degree", stats)
 
     if cfg.drop_leaves:
-        ts = ts.restrict(_two_core(ts, n))
+        links = ts.s != ts.o
+        keep, *_ = peel(n, [], *_distinct(np.minimum(ts.s, ts.o)[links],
+                                          np.maximum(ts.s, ts.o)[links]))
+        ts = ts.restrict(keep)
     nodes = ts.census(n, "leaves", stats)
 
     # node ranks follow the sorted identifiers, so the collapsed edges come

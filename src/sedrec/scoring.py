@@ -15,21 +15,19 @@ and applies the ROW/SYM/AVG rule. ``score_sed`` runs both passes;
 Pass one works on arrays up to the core graphs. ``subgraph.expand_many``
 expands every article at once, and ``_core_batch`` builds the core graphs of
 a batch of pairs in one numpy pass: union edges keyed ``pair * E + edge``,
-node slots keyed ``pair * n + node``, the pinned seeds, a round-based peel
-of the members of union degree <= 1 that are not pinned, local ids in
-sorted member order, and directed rows sorted by neighbour. ``_cores`` then
-turns one pair at a time into Python rows, with one ``cost()`` per surviving
+node slots keyed ``pair * n + node``, the members of union degree <= 1 that
+are not pinned seeds removed by ``kg.peel``, local ids in sorted member
+order, and rows sorted by neighbour from ``kg._csr``. ``_cores`` then turns
+one pair at a time into Python rows, with one ``cost()`` per surviving
 directed edge, for the early-stopping Dijkstra (``_shortest``/``_matrix``).
 ``pair_matrices``, ``distance_matrix`` and ``node_pair_distance`` are the
 same code on a batch of one union.
 
 This is exact. A non-seed member of degree <= 1 lies inside no path between
 two seeds, and relaxing back from it gives ``d + c >= d`` in floating point,
-so it never lowers a distance. Peeling in rounds drops the same members as
-peeling one at a time: both keep the largest member set that holds every
-pinned seed and in which every other member has degree >= 2. Settled
-Dijkstra distances are final, and the rows and local ids are those of a
-per-pair build, so every heap sees the same entries in the same order.
+so it never lowers a distance. Settled Dijkstra distances are final, and the
+rows and local ids are those of a per-pair build, so every heap sees the
+same entries in the same order.
 """
 
 from __future__ import annotations
@@ -57,8 +55,8 @@ from .articles import (
 )
 from .delimited import Number, read_table, write_table
 from .errors import InputDataError
-from .kg import KnowledgeGraph
-from .subgraph import ExpansionConfig, SubGraph, distinct, expand_many, offsets
+from .kg import KnowledgeGraph, _csr, distinct, peel
+from .subgraph import ExpansionConfig, SubGraph, expand_many, offsets
 from .weighting import EdgeCosts, WeightingScheme
 
 log = logging.getLogger(__name__)
@@ -119,37 +117,19 @@ def _core_batch(g: KnowledgeGraph, members: Sequence[Sequence[np.ndarray]],
     slots = keyed(members, n)
     su = np.searchsorted(slots, pair * n + g.edge_u[edge])
     sv = np.searchsorted(slots, pair * n + g.edge_v[edge])
+    del pair
     pins = np.searchsorted(slots, offsets([len(p) for p in pinned], n)
                            + np.fromiter((x for p in pinned for x in p), np.int64))
-    # peel, a round at a time, the members of degree <= 1 that are not pinned
-    free = np.ones(len(slots), dtype=bool)
-    free[pins] = False
-    degree = np.bincount(su, minlength=len(slots)) + np.bincount(sv, minlength=len(slots))
-    while True:
-        drop = free & (degree <= 1)
-        if not drop.any():
-            break
-        free &= ~drop
-        gone = drop[su] | drop[sv]
-        degree -= (np.bincount(su[gone], minlength=len(slots))
-                   + np.bincount(sv[gone], minlength=len(slots)))
-        su, sv, edge = su[~gone], sv[~gone], edge[~gone]
-    keep = free
-    keep[pins] = True
+    keep, su, sv, edge = peel(len(slots), pins, su, sv, edge)
     rank = np.cumsum(keep) - 1
     kept = slots[keep]
     first = np.searchsorted(kept, np.arange(len(pinned) + 1) * n)
     node = kept % n
     local = np.arange(len(kept)) - first[kept // n]
-    # each edge both ways in canonical edge order, so entry i's reverse is
-    # entry i ^ 1 and its edge edge[i >> 1]: a stable sort by source slot
-    # leaves every row sorted by neighbour, as in SubGraph.adjacency
-    ends = rank[np.stack([su, sv], axis=1).ravel()]
-    order = np.argsort(ends, kind="stable")
-    target = ends[order ^ 1]
-    ends = ends[order]
-    row = np.searchsorted(ends, np.arange(len(kept) + 1))
-    return (node[ends], node[target], local[target], edge[order >> 1], row, first,
+    # the edges are canonical on ranks, so rows come out sorted by neighbour
+    row, target, at = _csr(rank[su], rank[sv], len(kept))
+    del su, sv
+    return (np.repeat(node, np.diff(row)), node[target], local[target], edge[at], row, first,
             local[rank[pins]])
 
 

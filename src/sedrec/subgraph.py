@@ -2,10 +2,10 @@
 
 ``expand_many`` grows every article of a pass at once, in arrays over the
 graph's CSR rows: the article-keyed frontier ``article * n + node`` gathers
-its rows with ``np.repeat``, and each hop keeps the sorted distinct keys not
-seen before. ``expand`` is its one-article call and returns a ``SubGraph``,
-the frozenset form the oracles, perfbench and the single-pair scoring calls
-read.
+its rows with ``np.repeat``, and each hop keeps the sorted distinct keys
+(``kg.distinct``) not seen before. ``expand`` is its one-article call and
+returns a ``SubGraph``, the frozenset form the oracles, perfbench and the
+single-pair scoring calls read.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .kg import KnowledgeGraph
+from .kg import KnowledgeGraph, distinct
 
 
 @dataclass(frozen=True)
@@ -70,14 +70,6 @@ class SubGraph:
             adj[u].append((v, e))
             adj[v].append((u, e))
         return adj
-
-
-def distinct(keys: np.ndarray) -> np.ndarray:
-    """Sorted distinct values of an integer array, without ``np.unique``."""
-    keys = np.sort(keys)
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    return keys[first]
 
 
 def contains(table: np.ndarray, keys: np.ndarray) -> np.ndarray:

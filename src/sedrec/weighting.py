@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .kg import KnowledgeGraph
+from .kg import KnowledgeGraph, distinct
 
 
 class WeightingScheme(Enum):
@@ -55,11 +55,8 @@ def _frequency(g: KnowledgeGraph, scheme: WeightingScheme) -> list[float]:
         raise ValueError(f"{scheme} is not a frequency scheme")
     counts = np.bincount(g.pred_ids)
     af = (counts / counts.max()).tolist()
-    # incident nodes per predicate: its distinct (predicate, node) keys, found
-    # by sorting, since the first np.unique call costs about 1 MB of RSS
-    keys = np.sort(_incidence(g))
-    distinct = keys[np.diff(keys, prepend=-1) != 0]
-    raw = [math.log(len(g) / k) for k in np.bincount(distinct // len(g)).tolist()]
+    # incident nodes per predicate: its distinct (predicate, node) keys
+    raw = [math.log(len(g) / k) for k in np.bincount(distinct(_incidence(g)) // len(g)).tolist()]
     mx = max(raw)
     iaf = [r / mx if mx > 0.0 else 0.0 for r in raw]
     if scheme is WeightingScheme.AF_IAF:

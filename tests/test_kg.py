@@ -21,6 +21,7 @@ from sedrec.kg import (
     build_graph,
     load_snapshot,
     parse_ntriples,
+    peel,
     read_stoplist,
     save_snapshot,
 )
@@ -517,6 +518,64 @@ def test_build_graph_deterministic_bytes(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+# ------------------------------------------------------------------ peel
+
+def brute_peel(size, pinned, edges):
+    """Kept nodes and kept edge indices when unpinned nodes of degree <= 1
+    are removed one at a time, lowest first."""
+    alive, live = set(range(size)), set(range(len(edges)))
+    while True:
+        degree = dict.fromkeys(alive, 0)
+        for e in live:
+            for x in edges[e]:
+                degree[x] += 1
+        leaves = sorted(x for x in alive if x not in pinned and degree[x] <= 1)
+        if not leaves:
+            return alive, live
+        alive.discard(leaves[0])
+        live = {e for e in live if leaves[0] not in edges[e]}
+
+
+def check_peel(size, pinned, edges):
+    u = np.array([a for a, _ in edges], dtype=np.int64)
+    v = np.array([b for _, b in edges], dtype=np.int64)
+    ids = np.arange(len(edges), dtype=np.int64)
+    keep, pu, pv, pids, tag = peel(size, sorted(pinned), u, v, ids, ids * 10 + 3)
+    alive, live = brute_peel(size, set(pinned), edges)
+    assert set(np.flatnonzero(keep).tolist()) == alive
+    assert sorted(pids.tolist()) == pids.tolist() and set(pids.tolist()) == live
+    # the extra columns stay aligned with the kept edges
+    assert pu.tolist() == u[pids].tolist() and pv.tolist() == v[pids].tolist()
+    assert tag.tolist() == (pids * 10 + 3).tolist()
+    return alive
+
+
+@pytest.mark.parametrize("size, pinned, edges, kept", [
+    (4, [], [], set()),
+    (4, [1, 3], [], {1, 3}),
+    (5, [], [(0, 1), (1, 2), (2, 3), (3, 4)], set()),
+    (5, [4], [(0, 1), (1, 2), (2, 3), (3, 4)], {4}),
+    (5, [0, 4], [(0, 1), (1, 2), (2, 3), (3, 4)], {0, 1, 2, 3, 4}),
+    (7, [], [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (5, 1)], {0, 1, 2}),
+    (7, [4, 6], [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (5, 1)], {0, 1, 2, 3, 4, 6}),
+    (6, [5], [(1, 0), (2, 1), (0, 2), (3, 4)], {0, 1, 2, 5}),
+], ids=["empty", "pinned-isolated", "path", "path-pin-end", "path-pin-both",
+        "cycle-tails", "cycle-pinned-tail-and-isolated", "reversed-ends"])
+def test_peel_cases(size, pinned, edges, kept):
+    assert check_peel(size, pinned, edges) == kept
+
+
+def test_peel_matches_one_at_a_time_on_random_graphs():
+    rng = random.Random(11)
+    for _ in range(300):
+        size = rng.randint(1, 12)
+        pairs = [(a, b) for a in range(size) for b in range(size) if a != b]
+        # both orientations of a pair make two parallel edges, counted twice
+        edges = rng.sample(pairs, rng.randint(0, min(len(pairs), 2 * size)))
+        pinned = rng.sample(range(size), rng.randint(0, min(size, 3)))
+        check_peel(size, pinned, edges)
+
+
 # ------------------------------------------------------------ properties
 
 node_names = st.sampled_from([f"n{i}" for i in range(12)])
@@ -585,6 +644,13 @@ COVERING_STREAM = [
 ]
 
 
+# a 300-node pendant chain on a 5-cycle, plus a 40-node path component: the
+# leaf pass keeps only the cycle and takes 300 rounds to do so
+PENDANT_STREAM = ([nt(f"c{i}", "p", f"c{(i + 1) % 5}") for i in range(5)]
+                  + [nt("c0", "p", "t0")] + [nt(f"t{i}", "q", f"t{i + 1}") for i in range(299)]
+                  + [nt(f"r{i}", "p", f"r{i + 1}") for i in range(39)])
+
+
 def assert_same_as_oracle(records, cfg):
     got = build_graph(iter(records), cfg)
     want = build_graph_lists(records, cfg)
@@ -597,6 +663,7 @@ def assert_same_as_oracle(records, cfg):
 def test_build_graph_matches_list_oracle_on_covering_stream(cfg):
     assert_same_as_oracle(COVERING_STREAM, cfg)
     assert_same_as_oracle([], cfg)
+    assert_same_as_oracle(PENDANT_STREAM, cfg)
 
 
 oracle_node_triples = st.builds(

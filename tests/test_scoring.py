@@ -649,7 +649,7 @@ def test_pass_one_is_unchanged_by_small_batches(monkeypatch, scheme):
 
 
 def test_pass_one_memory_per_union_edge():
-    """Pass one's tracemalloc peak, per union edge, on a 2-hop graph: 88
+    """Pass one's tracemalloc peak, per union edge, on a 2-hop graph: 83
     bytes measured here. The peak is one batch of core-graph arrays over all
     27 pairs; a per-pair dict core measured 69, held one union at a time."""
     rng = random.Random(3)
