@@ -567,62 +567,120 @@ class KnowledgeGraph:
             raise ValueError("predicate table holds a predicate no edge carries")
 
 
-# Snapshot layout, version 1; every integer is little-endian and unsigned.
-#   header  _HEADER: magic, version, node count, edge count, predicate count
-#   strings the node ids, then the node titles, then the sorted predicate
-#           table; each is a _U32 byte length followed by its UTF-8 bytes
-#   edges   in canonical (u, v) order, each an _EDGE record (u, v, predicate
-#           count) followed by one _U32 predicate-table index per predicate
-# The file ends after the last edge.
+# Snapshot layout, version 2; every integer is little-endian and unsigned.
+#   header   _HEADER: magic, version, then the node, edge, predicate and
+#            predicate-reference counts
+#   strings  each table of _TABLES in turn: one block of its strings' UTF-8
+#            byte lengths, then those bytes concatenated
+#   columns  each of _COLUMNS in turn, one block
+# A block of k values is k _U4 integers; each table and column is as long as
+# the header count its entry names. The file ends after the last column.
+# Version 1, still read, has the same header without the reference count and
+# each string's length right before its bytes; then per edge an _EDGE_V1
+# record (u, v, predicate count) and the edge's predicate ids as _U32.
 _MAGIC = b"SEDKGRPH"
-_VERSION = 1
-_HEADER = struct.Struct("<8sIIII")
+_VERSION = 2
+_HEADER = struct.Struct("<8sIIIII")
+_U4 = np.dtype("<u4")
+_TABLES = (("ids", 0), ("titles", 0), ("predicates", 2))
+_COLUMNS = (("edge_u", 1), ("edge_v", 1), ("pred_count", 1), ("pred_ids", 3))
+_HEADER_V1 = struct.Struct("<8sIIII")
 _U32 = struct.Struct("<I")
-_EDGE = struct.Struct("<IIH")
+_EDGE_V1 = struct.Struct("<IIH")
+
+
+def _pack_u4(name: str, values) -> bytes:
+    """``values`` as one block; ValueError naming ``name`` if one does not fit a _U4."""
+    values = np.asarray(values, dtype=np.int64)
+    if values.size and not 0 <= values.min() <= values.max() <= np.iinfo(_U4).max:
+        raise ValueError(f"snapshot {name} holds a value outside 0..{np.iinfo(_U4).max}")
+    return values.astype(_U4).tobytes()
 
 
 def save_snapshot(g: KnowledgeGraph, path) -> None:
-    """Serialize the graph; identical structures produce identical bytes."""
-    ptr = g.pred_ptr.tolist()
-    preds = g.pred_ids.astype("<u4").tobytes()
+    """Serialize the graph as version 2; identical structures produce identical bytes."""
+    fields = {"ids": g.ids, "titles": g.titles, "predicates": g.predicates,
+              "edge_u": g.edge_u, "edge_v": g.edge_v, "pred_count": np.diff(g.pred_ptr),
+              "pred_ids": g.pred_ids}
+    counts = (len(g.ids), g.num_edges, len(g.predicates), len(g.pred_ids))
+    # every block is packed, and range-checked, before the file is opened;
+    # the header block is the bytes _HEADER unpacks
+    blocks = [_MAGIC, _pack_u4("header", (_VERSION, *counts))]
+    for name, _ in _TABLES:
+        raws = [s.encode("utf-8") for s in fields[name]]
+        blocks += [_pack_u4(f"{name} lengths", [len(r) for r in raws]), b"".join(raws)]
+    blocks += [_pack_u4(name, fields[name]) for name, _ in _COLUMNS]
     with open(path, "wb") as out:
-        out.write(_HEADER.pack(_MAGIC, _VERSION, len(g.ids), g.num_edges, len(g.predicates)))
-        for s in (*g.ids, *g.titles, *g.predicates):
-            raw = s.encode("utf-8")
-            out.write(_U32.pack(len(raw)))
-            out.write(raw)
-        for u, v, a, b in zip(g.edge_u.tolist(), g.edge_v.tolist(), ptr, ptr[1:]):
-            out.write(_EDGE.pack(u, v, b - a))
-            out.write(preds[_U32.size * a:_U32.size * b])
+        out.writelines(blocks)
+
+
+def _unpack_u4(buf: bytes, pos: int, count: int) -> tuple[np.ndarray, int]:
+    """The block of ``count`` values at ``pos`` as an int64 copy, and the position after it."""
+    end = pos + _U4.itemsize * count
+    if end > len(buf):
+        raise SnapshotError("truncated snapshot file")
+    return np.frombuffer(buf, _U4, count, pos).astype(np.int64), end
+
+
+def _read_v2(buf: bytes) -> tuple[dict, int]:
+    """``from_columns``'s arguments from a version 2 snapshot, and the position after them."""
+    _, _, *counts = _HEADER.unpack_from(buf)
+    pos, fields = _HEADER.size, {}
+    for name, size in _TABLES:
+        lengths, pos = _unpack_u4(buf, pos, counts[size])
+        bounds = [pos, *(pos + np.cumsum(lengths)).tolist()]
+        pos = bounds[-1]
+        if pos > len(buf):
+            raise SnapshotError("truncated snapshot file")
+        fields[name] = [buf[a:b].decode("utf-8") for a, b in zip(bounds, bounds[1:])]
+    for name, size in _COLUMNS:
+        fields[name], pos = _unpack_u4(buf, pos, counts[size])
+    fields["pred_ptr"] = np.concatenate(([0], np.cumsum(fields.pop("pred_count"))))
+    return fields, pos
+
+
+def _read_v1(buf: bytes) -> tuple[dict, int]:
+    """``from_columns``'s arguments from a version 1 snapshot, and the position after them."""
+    _, _, n_nodes, n_edges, n_preds = _HEADER_V1.unpack_from(buf)
+    pos = _HEADER_V1.size
+    strings = []
+    for _ in range(2 * n_nodes + n_preds):
+        (size,) = _U32.unpack_from(buf, pos)
+        pos += _U32.size + size
+        if pos > len(buf):
+            raise SnapshotError("truncated snapshot file")
+        strings.append(buf[pos - size:pos].decode("utf-8"))
+    edge_u, edge_v, pred_ptr, preds = array("q"), array("q"), array("q", [0]), bytearray()
+    for _ in range(n_edges):
+        u, v, k = _EDGE_V1.unpack_from(buf, pos)
+        edge_u.append(u)
+        edge_v.append(v)
+        pred_ptr.append(pred_ptr[-1] + k)
+        pos += _EDGE_V1.size + _U32.size * k
+        preds += buf[pos - _U32.size * k:pos]
+    fields = dict(zip(("edge_u", "edge_v", "pred_ptr"), (
+        np.frombuffer(c, dtype=np.int64) for c in (edge_u, edge_v, pred_ptr))))
+    fields.update(ids=strings[:n_nodes], titles=strings[n_nodes:2 * n_nodes],
+                  predicates=strings[2 * n_nodes:],
+                  pred_ids=np.frombuffer(preds, dtype="<u4").astype(np.int64))
+    return fields, pos
+
+
+_READERS = {1: _read_v1, 2: _read_v2}
 
 
 def load_snapshot(path) -> KnowledgeGraph:
-    """Load a snapshot written by save_snapshot; raise SnapshotError if corrupt."""
+    """Load a snapshot of either version; raise SnapshotError if corrupt."""
     with open(path, "rb") as fh:
         buf = fh.read()
     magic = buf[:len(_MAGIC)]
     if magic != _MAGIC:
         raise SnapshotError(f"not a graph snapshot (magic {magic!r})")
     try:
-        _, version, n_nodes, n_edges, n_preds = _HEADER.unpack_from(buf)
-        if version != _VERSION:
+        (version,) = _U32.unpack_from(buf, len(_MAGIC))
+        if version not in _READERS:
             raise SnapshotError(f"unsupported snapshot version {version}")
-        pos = _HEADER.size
-        strings = []
-        for _ in range(2 * n_nodes + n_preds):
-            (size,) = _U32.unpack_from(buf, pos)
-            pos += _U32.size + size
-            if pos > len(buf):
-                raise SnapshotError("truncated snapshot file")
-            strings.append(buf[pos - size:pos].decode("utf-8"))
-        edge_u, edge_v, pred_ptr, preds = array("q"), array("q"), array("q", [0]), bytearray()
-        for _ in range(n_edges):
-            u, v, k = _EDGE.unpack_from(buf, pos)
-            edge_u.append(u)
-            edge_v.append(v)
-            pred_ptr.append(pred_ptr[-1] + k)
-            pos += _EDGE.size + _U32.size * k
-            preds += buf[pos - _U32.size * k:pos]
+        fields, pos = _READERS[version](buf)
     except struct.error:
         raise SnapshotError("truncated snapshot file") from None
     except UnicodeDecodeError:
@@ -630,10 +688,9 @@ def load_snapshot(path) -> KnowledgeGraph:
     if pos != len(buf):
         raise SnapshotError("truncated snapshot file" if pos > len(buf)
                             else "trailing bytes after snapshot payload")
+    # every field is a copy: the file's bytes go before the graph builds its tables
+    del buf
     try:
-        return KnowledgeGraph.from_columns(
-            strings[:n_nodes], strings[n_nodes:2 * n_nodes], strings[2 * n_nodes:],
-            *(np.frombuffer(c, dtype=np.int64) for c in (edge_u, edge_v, pred_ptr)),
-            np.frombuffer(preds, dtype="<u4").astype(np.int64))
+        return KnowledgeGraph.from_columns(**fields)
     except ValueError as exc:
         raise SnapshotError(f"inconsistent snapshot: {exc}") from None

@@ -89,7 +89,8 @@ def test_non_utf8_input_is_input_error(synthetic_root, snapshot, tmp_path, capsy
     bad = tmp_path / "bad"
     if command == "score-kg":
         data = bytearray(snapshot.read_bytes())
-        data[28] = 0xFF  # first byte of the first node identifier
+        # first byte of the first node identifier
+        data[data.index(load_snapshot(snapshot).ids[0].encode())] = 0xFF
         bad.write_bytes(bytes(data))
     else:
         bad.write_bytes(b"m.x\xff\xfe\n")

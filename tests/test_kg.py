@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sedrec import kg
 from sedrec.errors import SnapshotError, UnknownNodeError
 from sedrec.kg import (
     KnowledgeGraph,
@@ -27,8 +28,8 @@ from sedrec.kg import (
 )
 from sedrec.subgraph import expand
 
-from helpers import IDENTITY_PRUNE, graph_from_edges, lit, nt
-from oracles import build_graph_lists
+from helpers import IDENTITY_PRUNE, graph_from_edges, lit, nt, random_pruned_graphs
+from oracles import build_graph_lists, snapshot_v1
 
 
 # ---------------------------------------------------------------- parsing
@@ -235,6 +236,15 @@ def test_prune_stats_count_every_pass():
     assert g.num_edges == g.prune_stats.collapsed_edges == 6
 
 
+# v1 digest (the oracle writer) -> the same graph's version 2 digest (save_snapshot)
+V2_DIGESTS = {
+    "340a9e01356f95dbd14be6e0dc143658dd0ea527eca57819b569dafc20efeb64":
+        "b57489502c29ff219fd7f0facb22d467c614134677f36a197fb5ca8ed41ba4bb",
+    "d06094085e5b00b56683f0d7712f58aa2eb1a82217e67735459099d26e205fce":
+        "f5e34ca0b2806c58569951cb7b89c685fa5bcc3358bf93f16450bf9630f2e360",
+}
+
+
 @pytest.mark.parametrize("min_out_degree, stoplisted, leaves, digest, counts", [
     (0, False, False,
      "340a9e01356f95dbd14be6e0dc143658dd0ea527eca57819b569dafc20efeb64",
@@ -251,8 +261,9 @@ def test_synthetic_snapshot_bytes_are_pinned(synthetic_root, tmp_path, min_out_d
     cfg = PruneConfig(english_only=True, min_out_degree=min_out_degree,
                       stoplist=stoplist, drop_leaves=leaves)
     g = build_graph(parse_ntriples(synthetic_root / "kg.nt"), cfg)
+    assert hashlib.sha256(snapshot_v1(g)).hexdigest() == digest
     save_snapshot(g, tmp_path / "kg.snap")
-    assert hashlib.sha256((tmp_path / "kg.snap").read_bytes()).hexdigest() == digest
+    assert hashlib.sha256((tmp_path / "kg.snap").read_bytes()).hexdigest() == V2_DIGESTS[digest]
     assert [(p.nodes, p.node_triples, p.literal_triples)
             for p in g.prune_stats.passes] == counts
 
@@ -376,8 +387,11 @@ def test_edge_columns_and_csr_agree_with_the_views():
 
 
 def test_graph_memory_per_edge(tmp_path):
-    """A loaded graph holds arrays, not per-edge Python objects: 116 bytes
-    per edge here with the node tables, against 389 with tuple rows."""
+    """A loaded graph holds arrays, not per-edge Python objects: 114 bytes
+    per edge here with the node tables, against 389 with tuple rows. The
+    file's bytes are freed before the graph builds its tables, so the load
+    peaks at 165 bytes per edge (188 with the bytes kept alive, 196 for the
+    version 1 reader); the peak bound is that 165 plus 15."""
     rng = random.Random(7)
     n, m = 5000, 20000
     edges = {}
@@ -394,11 +408,12 @@ def test_graph_memory_per_edge(tmp_path):
     tracemalloc.start()
     try:
         g = load_snapshot(path)
-        held, _ = tracemalloc.get_traced_memory()
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert g.num_edges == m
     assert held / m < 150
+    assert peak / m < 180
 
 
 def test_title_lookup_is_case_insensitive_lowest_index():
@@ -475,10 +490,37 @@ def pack_snapshot(ids, edges, preds=("rel",), runs=None):
     return b"".join(out)
 
 
+def pack_snapshot_v2(ids, edges, preds=("rel",), runs=None):
+    """v2 snapshot bytes of the graph ``pack_snapshot`` packs, packed by hand."""
+    runs = [[0]] * len(edges) if runs is None else runs
+    refs = [p for run in runs for p in run]
+
+    def block(values):
+        return struct.pack(f"<{len(values)}I", *values)
+
+    out = [struct.pack("<8sIIIII", b"SEDKGRPH", 2, len(ids), len(edges), len(preds),
+                       len(refs))]
+    for table in (ids, ids, preds):
+        raws = [s.encode("utf-8") for s in table]
+        out += [block([len(r) for r in raws]), *raws]
+    out += [block([u for u, _ in edges]), block([v for _, v in edges]),
+            block([len(run) for run in runs]), block(refs)]
+    return b"".join(out)
+
+
 def test_hand_packed_snapshot_matches_saved_bytes(tmp_path):
     path = tmp_path / "g.snap"
-    save_snapshot(graph_from_edges([("a", "b"), ("b", "c")]), path)
-    assert path.read_bytes() == pack_snapshot("abc", [(0, 1), (1, 2)])
+    for edges, args in (
+            ([("a", "b"), ("b", "c")], ("abc", [(0, 1), (1, 2)])),
+            ([("a", "b", "p"), ("a", "b", "q"), ("b", "c", "q"), ("a", "c", "p")],
+             ("abc", [(0, 1), (0, 2), (1, 2)], ("p", "q"), [[0, 1], [0], [1]]))):
+        g = graph_from_edges(edges)
+        save_snapshot(g, path)
+        assert path.read_bytes() == pack_snapshot_v2(*args)
+        assert snapshot_v1(g) == pack_snapshot(*args)
+
+
+V2 = pack_snapshot_v2("ab", [(0, 1)])
 
 
 @pytest.mark.parametrize("data, message", [
@@ -498,16 +540,72 @@ def test_hand_packed_snapshot_matches_saved_bytes(tmp_path):
     (pack_snapshot("ab", [(0, 1)], ("q", "p"), [[0, 1]]), "inconsistent snapshot"),
     (pack_snapshot("ab", [(0, 1)], ("p", "q"), [[0]]), "inconsistent snapshot"),
     (pack_snapshot("ab", [(0, 1)], ("p",), [[]]), "inconsistent snapshot"),
+    (V2[:24], "truncated snapshot file"),
+    (V2[:32], "truncated snapshot file"),
+    (V2[:28] + struct.pack("<2I", 1, 1000) + b"ab", "truncated snapshot file"),
+    (V2[:36] + b"a", "truncated snapshot file"),
+    (V2[:-14], "truncated snapshot file"),
+    (V2[:-2], "truncated snapshot file"),
+    (V2 + b"\x00", "trailing bytes"),
+    (V2.replace(b"ab", b"\xffb", 1), "not valid UTF-8"),
+    (V2[:-4] + struct.pack("<I", 1), "predicate index out of range"),
+    (V2[:-12] + struct.pack("<3I", 2, 0, 0), "inconsistent snapshot"),
+    (pack_snapshot_v2("abc", [(1, 2), (0, 1)]), "inconsistent snapshot"),
+    (pack_snapshot_v2("ab", [(0, 1), (0, 1)]), "inconsistent snapshot"),
+    (pack_snapshot_v2("ab", [(1, 0)]), "inconsistent snapshot"),
+    (pack_snapshot_v2("ab", [(0, 1)], ("p", "q"), [[1, 0]]), "inconsistent snapshot"),
+    (pack_snapshot_v2("ab", [(0, 1)], ("p",), [[0, 0]]), "inconsistent snapshot"),
+    (pack_snapshot_v2("ab", [(0, 1)], ("q", "p"), [[0, 1]]), "inconsistent snapshot"),
+    (pack_snapshot_v2("ab", [(0, 1)], ("p", "q"), [[0]]), "inconsistent snapshot"),
+    (pack_snapshot_v2("ab", [(0, 1)], ("p",), [[]]), "inconsistent snapshot"),
 ], ids=["short-magic", "predicate-index", "trailing", "string-past-end",
         "last-string-past-end", "utf8", "unsorted-edges", "duplicate-edge", "reversed-edge",
         "unsorted-predicates", "repeated-predicate", "unsorted-table", "unused-table-entry",
-        "no-predicate"])
+        "no-predicate",
+        "v2-header", "v2-length-block", "v2-string-past-end", "v2-string-blob",
+        "v2-edge-column", "v2-predicate-column", "v2-trailing", "v2-utf8",
+        "v2-predicate-index", "v2-reference-count", "v2-unsorted-edges",
+        "v2-duplicate-edge", "v2-reversed-edge", "v2-unsorted-predicates",
+        "v2-repeated-predicate", "v2-unsorted-table", "v2-unused-table-entry",
+        "v2-no-predicate"])
 def test_corrupt_snapshot_is_snapshot_error(tmp_path, data, message):
     path = tmp_path / "bad.snap"
     path.write_bytes(data)
     with pytest.raises(SnapshotError) as exc:
         load_snapshot(path)
     assert message in str(exc.value)
+
+
+def test_snapshot_writer_refuses_values_outside_u4(tmp_path):
+    for name, values in (("edge_v", [0, 2**32]), ("pred_ids", [-1, 0])):
+        with pytest.raises(ValueError, match=name):
+            kg._pack_u4(name, np.array(values, dtype=np.int64))
+    assert kg._pack_u4("edge_u", np.array([0, 2**32 - 1])) == struct.pack("<2I", 0, 2**32 - 1)
+    # save_snapshot checks every block before it opens the file
+    g = graph_from_edges([("a", "b")])
+    g.pred_ids = g.pred_ids + 2**32
+    with pytest.raises(ValueError, match="pred_ids"):
+        save_snapshot(g, tmp_path / "g.snap")
+    assert not (tmp_path / "g.snap").exists()
+
+
+def test_v1_and_v2_snapshots_load_to_the_same_graph(synthetic_root, tmp_path):
+    """On criterion 11's graphs and the synthetic benchmark graph, the
+    oracle's v1 bytes and save_snapshot's v2 bytes load to the graph, and
+    re-saving either load gives the v2 bytes."""
+    synthetic = build_graph(parse_ntriples(synthetic_root / "kg.nt"),
+                            PruneConfig(english_only=True, min_out_degree=0))
+    v1, v2, again = tmp_path / "v1.snap", tmp_path / "v2.snap", tmp_path / "again.snap"
+    for g in (*random_pruned_graphs(), synthetic):
+        v1.write_bytes(snapshot_v1(g))
+        save_snapshot(g, v2)
+        assert v1.read_bytes() != v2.read_bytes()
+        for path in (v1, v2):
+            loaded = load_snapshot(path)
+            assert loaded == g
+            save_snapshot(loaded, again)
+            assert again.read_bytes() == v2.read_bytes()
+    assert len(synthetic) == 274
 
 
 def test_build_graph_deterministic_bytes(tmp_path):
