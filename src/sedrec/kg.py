@@ -262,11 +262,24 @@ class _Triples:
 
 def _csr(u: np.ndarray, v: np.ndarray, n: int):
     """``indptr``, ``indices`` and ``edge_id`` of the undirected edges (u[e], v[e]) over
-    ``n`` nodes; canonical pairs give sorted rows (lower neighbours come from ``u``)."""
-    ends = np.concatenate([v, u])
-    order = np.argsort(ends, kind="stable")
-    indptr = np.searchsorted(ends[order], np.arange(n + 1))
-    return indptr, np.concatenate([u, v])[order], order - len(u) * (order >= len(u))
+    ``n`` nodes, ``u`` sorted; canonical pairs give sorted rows (lower neighbours come from ``u``).
+
+    Row ``x`` lists the edges with ``v == x``, then those with ``u == x``, each
+    in edge order: a stable sort of the ends ``v`` then ``u``. Only ``v`` needs
+    sorting, since ``u`` is in row order already."""
+    from_v, from_u = np.bincount(v, minlength=n), np.bincount(u, minlength=n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(from_v + from_u, out=indptr[1:])
+    # v's stable order, as the order of distinct keys: an unstable sort is faster
+    order = np.argsort(v * len(v) + np.arange(len(v)))
+    # a sorted end's slot is its rank plus the entries of the other half in earlier rows
+    at_v = np.arange(len(v)) + np.repeat(np.cumsum(from_u) - from_u, from_v)
+    at_u = np.arange(len(u)) + np.repeat(np.cumsum(from_v), from_u)
+    indices = np.empty(2 * len(u), dtype=np.result_type(u, v))
+    edge_id = np.empty(2 * len(u), dtype=np.int64)
+    indices[at_v], indices[at_u] = u[order], v
+    edge_id[at_v], edge_id[at_u] = order, np.arange(len(u))
+    return indptr, indices, edge_id
 
 
 def peel(size: int, pinned, u: np.ndarray, v: np.ndarray, *cols: np.ndarray):

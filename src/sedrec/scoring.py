@@ -7,32 +7,38 @@ graph, in both directions, so the corpus-wide maximum finite path cost is
 shared by all variants and their cross-run identities hold exactly. Its
 ``PassOne`` result depends only on expansion, weighting, screening and
 context words, and can be aggregated many times. Pass two (``score_from``)
-calls ``aggregate`` per pair: it normalizes raw costs onto [0, 1],
+calls ``aggregate`` once over every pair: it normalizes raw costs onto [0, 1],
 substitutes the disconnection penalty for unreachable or unresolvable seeds,
 and applies the ROW/SYM/AVG rule. ``score_sed`` runs both passes;
 ``sed_variant`` is the same two steps for a single pair.
 
-Pass one works on arrays up to the core graphs. ``subgraph.expand_many``
-expands every article at once, and ``_core_batch`` builds the core graphs of
-a batch of pairs in one numpy pass: union edges keyed ``pair * E + edge``,
-node slots keyed ``pair * n + node``, the members of union degree <= 1 that
-are not pinned seeds removed by ``kg.peel``, local ids in sorted member
-order, and rows sorted by neighbour from ``kg._csr``. ``_cores`` then turns
-one pair at a time into Python rows, with one ``cost()`` per surviving
-directed edge, for the early-stopping Dijkstra (``_shortest``/``_matrix``).
-``pair_matrices``, ``distance_matrix`` and ``node_pair_distance`` are the
-same code on a batch of one union.
+Pass one works on arrays throughout. ``subgraph.expand_many`` expands every
+article at once, and ``_core_batch`` builds the core graphs of a batch of
+pairs in one numpy pass: union edges keyed ``pair * E + edge``, node slots
+keyed ``pair * n + node``, the members of union degree <= 1 that are not
+pinned seeds removed by ``kg.peel``, local ids in sorted member order, rows
+grouped by destination from ``kg._csr``, and one ``cost()`` per directed core
+edge. ``_relax`` finds the distances from every pinned seed, one search row
+per pair and seed, by sweeps over flat arrays, at most ``_CHUNK`` core entries
+and slots of search rows at a time. ``_cells`` lays them out as each pair's
+flat forward and backward matrices (``Matrices``). ``pair_matrices``,
+``distance_matrix``, ``node_pair_distance`` and ``sed_variant`` are the same
+code on a batch of one union.
 
 This is exact. A non-seed member of degree <= 1 lies inside no path between
 two seeds, and relaxing back from it gives ``d + c >= d`` in floating point,
-so it never lowers a distance. Settled Dijkstra distances are final, and the
-rows and local ids are those of a per-pair build, so every heap sees the
-same entries in the same order.
+so it never lowers a distance. Costs are >= 0 and ``fl(d + c)`` is monotone
+in ``d``, so the sweeps, started at 0 on the source and infinity elsewhere,
+stop at the least fixed point ``D[b] = min(D[b], min_a fl(D[a] + c(a, b)))``:
+at every node, the least left-to-right float sum over the paths that reach
+it. Dijkstra returns that same value at every settled target, ties and
+zero-cost edges included, so the sweeps give the early-stopping Dijkstra's
+distances bit for bit. Chunks split the set of search rows, never a row, so
+they cannot change a value.
 """
 
 from __future__ import annotations
 
-import heapq
 import logging
 import math
 import multiprocessing
@@ -56,7 +62,7 @@ from .articles import (
 from .delimited import Number, read_table, write_table
 from .errors import InputDataError
 from .kg import KnowledgeGraph, _csr, distinct, peel
-from .subgraph import ExpansionConfig, SubGraph, expand_many, offsets
+from .subgraph import ExpansionConfig, SubGraph, expand_many, offsets, ranges
 from .weighting import EdgeCosts, WeightingScheme
 
 log = logging.getLogger(__name__)
@@ -94,17 +100,24 @@ class ScoringConfig:
 # factor of the graph, whatever the number of pairs.
 _BATCH_EDGES = 2 ** 16
 
+# A chunk of search rows relaxes at most this many core entries and slots at
+# once, or one search row's when that is more, so the relaxation's arrays stay
+# small whatever the batch.
+_CHUNK = 2 ** 12
 
-def _core_batch(g: KnowledgeGraph, members: Sequence[Sequence[np.ndarray]],
-                edges: Sequence[Sequence[np.ndarray]], pinned: Sequence[Sequence[int]]):
+
+def _core_batch(g: KnowledgeGraph, costs: EdgeCosts, members: Sequence[Sequence[np.ndarray]],
+                edges: Sequence[Sequence[np.ndarray]], pins: np.ndarray):
     """Core graphs of a batch of unions, in arrays.
 
-    Union ``p`` is the union of the arrays ``members[p]`` and ``edges[p]``, and
-    ``pinned[p]`` lists its pinned members, distinct. Returns the directed core
-    edges sorted by source slot, then by neighbour (their ``source`` and
-    ``target`` nodes, ``local`` target ids and ``edge`` ids); each slot's first
-    entry ``row``, one past the last slot's; each pair's first slot ``first``,
-    one past the last pair's; and each pinned member's local id, in order.
+    Union ``p`` is the union of the arrays ``members[p]`` and ``edges[p]``;
+    ``pins`` holds the keys ``p * len(g) + node`` of its pinned members, sorted
+    and distinct. Returns the directed core entries grouped by destination
+    slot, then sorted by neighbour: each entry's neighbour local id and the
+    cost of stepping from that neighbour to the destination, one
+    ``costs.cost()`` per directed core edge; each slot's first entry ``row``,
+    one past the last slot's; each pair's first slot ``first``, one past the
+    last pair's; and each pin's local id.
     """
     n, m = len(g), max(g.num_edges, 1)
 
@@ -118,104 +131,162 @@ def _core_batch(g: KnowledgeGraph, members: Sequence[Sequence[np.ndarray]],
     su = np.searchsorted(slots, pair * n + g.edge_u[edge])
     sv = np.searchsorted(slots, pair * n + g.edge_v[edge])
     del pair
-    pins = np.searchsorted(slots, offsets([len(p) for p in pinned], n)
-                           + np.fromiter((x for p in pinned for x in p), np.int64))
+    pins = np.searchsorted(slots, pins)
     keep, su, sv, edge = peel(len(slots), pins, su, sv, edge)
     rank = np.cumsum(keep) - 1
     kept = slots[keep]
-    first = np.searchsorted(kept, np.arange(len(pinned) + 1) * n)
+    del slots, keep
+    first = np.searchsorted(kept, np.arange(len(members) + 1) * n)
     node = kept % n
     local = np.arange(len(kept)) - first[kept // n]
+    del kept
     # the edges are canonical on ranks, so rows come out sorted by neighbour
-    row, target, at = _csr(rank[su], rank[sv], len(kept))
+    su, sv = rank[su], rank[sv]
+    row, target, at = _csr(su, sv, len(node))
     del su, sv
-    return (np.repeat(node, np.diff(row)), node[target], local[target], edge[at], row, first,
-            local[rank[pins]])
+    edge = edge[at]
+    del at
+    into = np.fromiter(map(costs.cost, memoryview(node[target]),
+                           memoryview(np.repeat(node, np.diff(row))), memoryview(edge)),
+                       np.float64, len(edge))
+    return local[target], into, row, first, local[rank[pins]]
 
 
-def _cores(g: KnowledgeGraph, costs: EdgeCosts, members, edges,
-           pinned: Sequence[Sequence[int]]):
-    """Yield each union's core graph: a dict from its pinned members to local
-    ids, and its sorted (neighbour, cost) rows on local ids.
+def _relax(local: np.ndarray, into: np.ndarray, row: np.ndarray, first: np.ndarray,
+           pin_local: np.ndarray, pin_pair: np.ndarray, pin_first: np.ndarray) -> np.ndarray:
+    """Shortest distances from every pin to each pin of its pair, over the
+    ``_core_batch`` arrays: pin ``r`` of pair ``p`` gives ``pin_first[p + 1] -
+    pin_first[p]`` values in pin order, and pins follow each other.
 
-    One ``_core_batch`` builds them all, and its temporaries are freed before
-    the first yield. Rows become Python lists one pair at a time, with one
-    ``cost()`` per directed core edge.
+    A search row is one pin's distances over its pair's core slots. The search
+    rows of a chunk share one flat ``dist``, and each sweep sets every slot to
+    the least of its value and ``dist[neighbour] + cost`` over its entries
+    (``np.minimum.reduceat``), until no slot improves.
     """
-    source, target, local, edge, row, first, pin_local = _core_batch(g, members, edges, pinned)
-    row, first, pin_local = row.tolist(), first.tolist(), pin_local.tolist()
-    cost = costs.cost
-    at = 0
-    for p, pins in enumerate(pinned):
-        a, b = first[p], first[p + 1]
-        lo, hi = row[a], row[b]
-        entries = list(zip(local[lo:hi].tolist(),
-                           map(cost, source[lo:hi].tolist(), target[lo:hi].tolist(),
-                               edge[lo:hi].tolist())))
-        yield (dict(zip(pins, pin_local[at:at + len(pins)])),
-               [entries[x - lo:y - lo] for x, y in zip(row[a:b], row[a + 1:b + 1])])
-        at += len(pins)
+    slots, entries = np.diff(first), np.diff(row[first])
+    degrees, pins = np.diff(row), np.diff(pin_first)
+    bounds, size = [0], 0
+    for r, w in enumerate((slots + entries)[pin_pair].tolist()):
+        if size + w > _CHUNK and r > bounds[-1]:
+            bounds.append(r)
+            size = 0
+        size += w
+    bounds.append(len(pin_pair))
+    out = [np.zeros(0)]
+    for a, b in zip(bounds, bounds[1:]):
+        p = pin_pair[a:b]
+        k, e = slots[p], entries[p]
+        base = np.cumsum(k) - k
+        slot = ranges(first[p], k)
+        entry = ranges(row[first[p]], e)
+        source = local[entry] + np.repeat(base, e)
+        cost = into[entry]
+        del entry
+        degree = degrees[slot]
+        dest = np.flatnonzero(degree)
+        start = (np.cumsum(degree) - degree)[dest]
+        dist = np.full(len(slot), DISCONNECTED)
+        dist[base + pin_local[a:b]] = 0.0
+        while len(start):
+            best = np.minimum.reduceat(dist[source] + cost, start)
+            better = best < dist[dest]
+            if not better.any():
+                break
+            dist[dest[better]] = best[better]
+        count = pins[p]
+        out.append(dist[np.repeat(base, count) + pin_local[ranges(pin_first[p], count)]])
+    return np.concatenate(out)
+
+
+def _cells(dist: np.ndarray, at: np.ndarray, pin_first: np.ndarray, a: np.ndarray,
+           b: np.ndarray, size_a: np.ndarray, size_b: np.ndarray) -> np.ndarray:
+    """Flat matrices from each pair's seeds ``a`` to its seeds ``b``, given
+    as pin numbers (-1 for a seed outside the union): pair ``p``'s block
+    holds ``size_a[p]`` rows of ``size_b[p]``. Pin ``r``'s ``_relax`` values
+    start at ``at[r]``."""
+    count = size_a * size_b
+    pair = np.repeat(np.arange(len(count)), count)
+    cell = ranges(np.zeros_like(count), count)
+    width = size_b[pair]
+    x = a[np.repeat(np.cumsum(size_a) - size_a, count) + cell // width]
+    y = b[np.repeat(np.cumsum(size_b) - size_b, count) + cell % width]
+    out = np.full(len(cell), DISCONNECTED)
+    ok = (x >= 0) & (y >= 0)
+    out[ok] = dist[at[x[ok]] + y[ok] - pin_first[pair[ok]]]
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class Matrices:
+    """Raw forward (s1 -> s2) and backward (s2 -> s1) distance matrices of a
+    batch of pairs, flat: pair ``p``'s forward block holds ``rows[p]`` rows of
+    ``cols[p]`` cells, its backward block ``cols[p]`` rows of ``rows[p]``, and
+    blocks follow each other in pair order."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    forward: np.ndarray
+    backward: np.ndarray
+
+    def _columns(self):
+        return self.rows, self.cols, self.forward, self.backward
+
+    def __eq__(self, other):
+        if not isinstance(other, Matrices):
+            return NotImplemented
+        return all(x.dtype == y.dtype and x.tobytes() == y.tobytes()
+                   for x, y in zip(self._columns(), other._columns()))
+
+    @classmethod
+    def concat(cls, parts: Sequence["Matrices"]) -> "Matrices":
+        return cls(*(np.concatenate(c) for c in zip(*(m._columns() for m in parts))))
+
+    def pair(self, p: int) -> tuple[list[list[float]], list[list[float]]]:
+        """Pair ``p``'s forward and backward matrices as nested lists."""
+        r, c = int(self.rows[p]), int(self.cols[p])
+        at = int(np.dot(self.rows[:p], self.cols[:p]))
+        return (self.forward[at:at + r * c].reshape(r, c).tolist(),
+                self.backward[at:at + r * c].reshape(c, r).tolist())
 
 
 def _batch_matrices(g: KnowledgeGraph, costs: EdgeCosts, members, edges,
-                    queries: Sequence[tuple[list[int | None], list[int | None]]]):
-    """Forward and backward matrices of each union between its two seed lists
-    ``queries[p]``, over one core graph pinned at both."""
-    pinned = [sorted({*n1, *n2} - {None}) for n1, n2 in queries]
-    return [(_matrix(core, n1, n2), _matrix(core, n2, n1))
-            for core, (n1, n2) in zip(_cores(g, costs, members, edges, pinned), queries)]
+                    queries: Sequence[tuple[np.ndarray, np.ndarray]]) -> Matrices:
+    """Forward and backward matrices of each union between its two seed
+    arrays ``queries[p]`` (node ids, -1 for a seed outside the union), over
+    one core graph pinned at both."""
+    n = len(g)
+    rows, cols = (np.array([len(q[i]) for q in queries], dtype=np.int64) for i in (0, 1))
 
+    def keys(i, sizes):
+        nodes = np.concatenate([q[i] for q in queries])
+        return np.where(nodes < 0, -1, offsets(sizes, n) + nodes)
 
-def _union_core(u: SubGraph, costs: EdgeCosts, pinned: set[int]):
-    """The core graph of one union, as a batch of one."""
-    (core,) = _cores(u.parent, costs, [(_array(u.members),)], [(_array(u.edges),)],
-                     [sorted(pinned)])
-    return core
+    k1, k2 = keys(0, rows), keys(1, cols)
+    pins = distinct(np.concatenate([k1[k1 >= 0], k2[k2 >= 0]]))
+    pin_pair = pins // n
+    pin_first = np.searchsorted(pin_pair, np.arange(len(queries) + 1))
+    dist = _relax(*_core_batch(g, costs, members, edges, pins), pin_pair, pin_first)
+    count = np.diff(pin_first)[pin_pair]
+    at = np.cumsum(count) - count
+    i1, i2 = (np.where(k < 0, -1, np.searchsorted(pins, k)) for k in (k1, k2))
+    return Matrices(rows, cols, _cells(dist, at, pin_first, i1, i2, rows, cols),
+                    _cells(dist, at, pin_first, i2, i1, cols, rows))
 
 
 def _array(values: frozenset[int]) -> np.ndarray:
     return np.fromiter(values, np.int64, len(values))
 
 
-def _shortest(rows: list[list[tuple[int, float]]], source: int,
-              targets: set[int]) -> list[float]:
-    """Dijkstra over a core graph; stops once every target is settled."""
-    dist = [DISCONNECTED] * len(rows)
-    dist[source] = 0.0
-    left = set(targets)
-    heap = [(0.0, source)]
-    while heap:
-        d, a = heapq.heappop(heap)
-        if d > dist[a]:
-            continue
-        left.discard(a)
-        if not left:
-            break
-        for b, c in rows[a]:
-            nd = d + c
-            if nd < dist[b]:
-                dist[b] = nd
-                heapq.heappush(heap, (nd, b))
-    return dist
-
-
-def _matrix(core, sources: list[int | None],
-            targets: list[int | None]) -> list[list[float]]:
-    """One early-stopping Dijkstra per source; None stands for a missing seed."""
-    local, rows = core
-    goal = {local[t] for t in targets if t is not None}
-    out = []
-    for s in sources:
-        dist = None if s is None else _shortest(rows, local[s], goal)
-        out.append([DISCONNECTED if dist is None or t is None else dist[local[t]]
-                    for t in targets])
-    return out
-
-
-def _union_nodes(u: SubGraph, ids: Sequence[str]) -> list[int | None]:
+def _union_nodes(u: SubGraph, ids: Sequence[str]) -> np.ndarray:
     g = u.parent
-    nodes = [g.node_index(i) if g.has_node(i) else None for i in ids]
-    return [m if m in u.members else None for m in nodes]
+    nodes = (g.node_index(i) if g.has_node(i) else -1 for i in ids)
+    return np.array([m if m in u.members else -1 for m in nodes], dtype=np.int64)
+
+
+def _union_matrices(u: SubGraph, costs: EdgeCosts, n1: np.ndarray, n2: np.ndarray) -> Matrices:
+    """``_batch_matrices`` of one union."""
+    return _batch_matrices(u.parent, costs, [(_array(u.members),)], [(_array(u.edges),)],
+                           [(n1, n2)])
 
 
 def node_pair_distance(u: SubGraph, costs: EdgeCosts, source: int, target: int) -> float:
@@ -228,7 +299,8 @@ def node_pair_distance(u: SubGraph, costs: EdgeCosts, source: int, target: int) 
         raise ValueError(f"source node {source} is not in the union graph")
     if target not in u.members:
         raise ValueError(f"target node {target} is not in the union graph")
-    return _matrix(_union_core(u, costs, {source, target}), [source], [target])[0][0]
+    m = _union_matrices(u, costs, np.array([source]), np.array([target]))
+    return float(m.forward[0])
 
 
 def distance_matrix(u: SubGraph, costs: EdgeCosts,
@@ -238,17 +310,18 @@ def distance_matrix(u: SubGraph, costs: EdgeCosts,
     Seeds that did not resolve into the graph, and unreachable targets, appear
     as DISCONNECTED entries.
     """
-    sources, targets = _union_nodes(u, from_ids), _union_nodes(u, to_ids)
-    return _matrix(_union_core(u, costs, {*sources, *targets} - {None}), sources, targets)
+    return pair_matrices(u, costs, from_ids, to_ids)[0]
 
 
-def normalize_distance(raw: float, corpus_max_finite: float, penalty: float) -> float:
-    """Scale a finite raw cost by the corpus maximum; gaps become the penalty."""
-    if not math.isfinite(raw):
-        return penalty
-    if raw == 0.0:
-        return 0.0
-    return raw / corpus_max_finite
+def normalize_distance(raw, corpus_max_finite: float, penalty: float) -> np.ndarray:
+    """Scale finite raw costs by the corpus maximum; gaps become the penalty.
+
+    Works elementwise on arrays, and gives a 0-d array for a number.
+    """
+    raw = np.asarray(raw, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(np.isfinite(raw),
+                        np.where(raw == 0.0, 0.0, raw / corpus_max_finite), penalty)
 
 
 def pair_matrices(u: SubGraph, costs: EdgeCosts, s1: Sequence[str],
@@ -257,36 +330,46 @@ def pair_matrices(u: SubGraph, costs: EdgeCosts, s1: Sequence[str],
 
     Both directions run over one core graph pinned at the seeds of both sets.
     """
-    return _batch_matrices(u.parent, costs, [(_array(u.members),)], [(_array(u.edges),)],
-                           [(_union_nodes(u, s1), _union_nodes(u, s2))])[0]
+    return _union_matrices(u, costs, _union_nodes(u, s1), _union_nodes(u, s2)).pair(0)
 
 
-def aggregate(forward: list[list[float]], backward: list[list[float]],
-              cfg: ScoringConfig, max_finite: float) -> float:
-    """Article distance from a pair's raw matrices under the configured variant.
+def _sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The sum of each run of ``lengths[i]`` consecutive values, added strictly
+    left to right: the longest runs go first, and step ``j`` adds the ``j``-th
+    value of every run longer than ``j``."""
+    order = np.argsort(-lengths, kind="stable")
+    start = (np.cumsum(lengths) - lengths)[order]
+    live = np.searchsorted(-lengths[order], -np.arange(lengths.max(initial=0))).tolist()
+    total = np.zeros(len(lengths))
+    for j, n in enumerate(live):
+        total[:n] += values[start[:n] + j]
+    out = np.empty_like(total)
+    out[order] = total
+    return out
+
+
+def aggregate(m: Matrices, cfg: ScoringConfig, max_finite: float) -> np.ndarray:
+    """Article distance of every pair of ``m`` under the configured variant.
 
     ROW is the mean over rows of the minimum normalized distance (backward
     when reversed); SYM averages the forward and backward ROW values; AVG is
     the mean normalized distance over every seed pair. Sums accumulate left
-    to right: ``sum()`` (compensated from Python 3.12) and numpy's pairwise
-    sum can move the last ulp and so the score CSV bytes.
+    to right (``_sums``): ``sum()`` (compensated from Python 3.12) and numpy's
+    pairwise sum can move the last ulp and so the score CSV bytes.
     """
-    def row_mean(mat) -> float:
-        total = 0.0
-        for row in mat:
-            total += min(normalize_distance(d, max_finite, cfg.penalty) for d in row)
-        return total / len(mat)
+    def row_mean(cells, height, width):
+        norm = normalize_distance(cells, max_finite, cfg.penalty)
+        size = np.repeat(width, height)
+        return _sums(np.minimum.reduceat(norm, np.cumsum(size) - size), height) / height
 
     if cfg.variant is SedVariant.SYM:
-        return (row_mean(forward) + row_mean(backward)) / 2.0
-    mat = backward if cfg.reverse_direction else forward
+        return (row_mean(m.forward, m.rows, m.cols) + row_mean(m.backward, m.cols, m.rows)) / 2.0
+    cells, height, width = ((m.backward, m.cols, m.rows) if cfg.reverse_direction
+                            else (m.forward, m.rows, m.cols))
     if cfg.variant is SedVariant.ROW:
-        return row_mean(mat)
-    total = 0.0
-    for row in mat:
-        for d in row:
-            total += normalize_distance(d, max_finite, cfg.penalty)
-    return total / (len(mat) * len(mat[0]))
+        return row_mean(cells, height, width)
+    size = height * width
+    return _sums(normalize_distance(cells, max_finite, cfg.penalty), size) / size
 
 
 def sed_variant(s1: Iterable[str], s2: Iterable[str], u: SubGraph,
@@ -299,7 +382,8 @@ def sed_variant(s1: Iterable[str], s2: Iterable[str], u: SubGraph,
     s1, s2 = sorted(set(s1)), sorted(set(s2))
     if not s1 or not s2:
         raise ValueError("article seed sets must be non-empty")
-    return aggregate(*pair_matrices(u, costs, s1, s2), cfg, max_finite)
+    m = _union_matrices(u, costs, _union_nodes(u, s1), _union_nodes(u, s2))
+    return float(aggregate(m, cfg, max_finite)[0])
 
 
 # -------------------------------------------------------------- baselines
@@ -441,7 +525,8 @@ def compute_seed_sets(articles: Mapping[str, Article],
                       article_ids: Iterable[str] | None = None) -> dict[str, frozenset[str]]:
     """Screened entities plus context-word nodes per article."""
     ids = sorted(article_ids) if article_ids is not None else sorted(articles)
-    tfidf = tfidf_vectors(articles)
+    # augment_context_words reads no TF-IDF weights when asked for no words
+    tfidf = tfidf_vectors(articles) if cfg.context_words.n_words > 0 else {}
     out = {}
     for aid in ids:
         if aid not in articles:
@@ -458,8 +543,8 @@ _PAIR_CTX: dict | None = None
 
 def _chunk_matrices(pairs: Sequence[Pair], graph: KnowledgeGraph, costs: EdgeCosts,
                     members: Mapping[str, np.ndarray], edges: Mapping[str, np.ndarray],
-                    nodes: Mapping[str, list[int | None]]):
-    """(pair_id, forward, backward) per pair, in batches of at most
+                    nodes: Mapping[str, np.ndarray]) -> Matrices:
+    """The matrices of ``pairs``, in batches of at most
     ``max(graph.num_edges, _BATCH_EDGES)`` union edges, counted before the
     two articles' edges are merged."""
     cap = max(graph.num_edges, _BATCH_EDGES)
@@ -471,27 +556,24 @@ def _chunk_matrices(pairs: Sequence[Pair], graph: KnowledgeGraph, costs: EdgeCos
             size = 0
         batches[-1].append(pair)
         size += grow
-    out = []
-    for batch in batches:
-        out += [(pid, *mats) for (pid, _, _), mats in zip(batch, _batch_matrices(
-            graph, costs, [(members[a], members[b]) for _, a, b in batch],
-            [(edges[a], edges[b]) for _, a, b in batch],
-            [(nodes[a], nodes[b]) for _, a, b in batch]))]
-    return out
+    return Matrices.concat([_batch_matrices(
+        graph, costs, [(members[a], members[b]) for _, a, b in batch],
+        [(edges[a], edges[b]) for _, a, b in batch],
+        [(nodes[a], nodes[b]) for _, a, b in batch]) for batch in batches])
 
 
-def _pair_chunk(pairs: list[Pair]):
+def _pair_chunk(pairs: list[Pair]) -> Matrices:
     return _chunk_matrices(pairs, **_PAIR_CTX)
 
 
-def _run_pair_pass(pairs: list[Pair], jobs: int):
+def _run_pair_pass(pairs: list[Pair], jobs: int) -> Matrices:
     if jobs > 1:
         start = multiprocessing.get_start_method(allow_none=False)
         if start == "fork":
             size = max(1, len(pairs) // (4 * jobs))
             with ProcessPoolExecutor(max_workers=jobs) as pool:
-                return [r for chunk in pool.map(_pair_chunk, [
-                    pairs[i:i + size] for i in range(0, len(pairs), size)]) for r in chunk]
+                return Matrices.concat(list(pool.map(_pair_chunk, [
+                    pairs[i:i + size] for i in range(0, len(pairs), size)])))
         log.warning("jobs=%d needs the 'fork' start method, not %r; "
                     "running the pair pass serially", jobs, start)
     return _pair_chunk(pairs)
@@ -507,11 +589,12 @@ def pass_one_key(cfg: ScoringConfig) -> tuple:
 
 @dataclass(frozen=True)
 class PassOne:
-    """Raw forward and backward seed-to-seed matrices of every pair, the
-    corpus-wide maximum finite cost, and the ``pass_one_key`` they were built
-    under."""
+    """Raw forward and backward seed-to-seed matrices of every pair (pair
+    ``p`` of ``matrices`` is ``pair_ids[p]``), the corpus-wide maximum finite
+    cost, and the ``pass_one_key`` they were built under."""
     key: tuple
-    matrices: dict[str, tuple[list[list[float]], list[list[float]]]]
+    pair_ids: tuple[str, ...]
+    matrices: Matrices
     max_finite: float
 
 
@@ -537,25 +620,23 @@ def pass_one(kg: KnowledgeGraph, articles: Mapping[str, Article],
             f"articles with no seed entities (no annotations or context words): {empty[:5]}"
         )
     aids = sorted(seeds)
-    nodes = {a: [kg.node_index(s) if kg.has_node(s) else None for s in sorted(seeds[a])]
-             for a in aids}
-    members, edges = expand_many(kg, [[x for x in nodes[a] if x is not None] for a in aids],
+    nodes = {a: np.array([kg.node_index(s) if kg.has_node(s) else -1 for s in sorted(seeds[a])],
+                         dtype=np.int64) for a in aids}
+    members, edges = expand_many(kg, [nodes[a][nodes[a] >= 0] for a in aids],
                                  cfg.expansion.radius)
     costs = EdgeCosts(kg, cfg.weighting)
 
     _PAIR_CTX = {"graph": kg, "costs": costs, "members": dict(zip(aids, members)),
                  "edges": dict(zip(aids, edges)), "nodes": nodes}
     try:
-        results = _run_pair_pass(list(pairs), jobs)
+        matrices = _run_pair_pass(list(pairs), jobs)
     finally:
         _PAIR_CTX = None
 
-    max_finite = max((d for _, mat_f, mat_b in results for mat in (mat_f, mat_b)
-                      for row in mat for d in row if math.isfinite(d)), default=0.0)
-    if max_finite <= 0.0:
-        max_finite = 1.0
-    return PassOne(pass_one_key(cfg),
-                   {pid: (mat_f, mat_b) for pid, mat_f, mat_b in results}, max_finite)
+    max_finite = max(float(np.max(x[np.isfinite(x)], initial=0.0))
+                     for x in (matrices.forward, matrices.backward))
+    return PassOne(pass_one_key(cfg), tuple(pid for pid, _, _ in pairs), matrices,
+                   max_finite if max_finite > 0.0 else 1.0)
 
 
 def score_from(p1: PassOne, cfg: ScoringConfig, method: str = "sed") -> ScoreTable:
@@ -568,8 +649,7 @@ def score_from(p1: PassOne, cfg: ScoringConfig, method: str = "sed") -> ScoreTab
               if have != want]
     if differ:
         raise ValueError(f"pass one was built under other settings: {differ}")
-    raw = {pid: aggregate(mat_f, mat_b, cfg, p1.max_finite)
-           for pid, (mat_f, mat_b) in p1.matrices.items()}
+    raw = dict(zip(p1.pair_ids, aggregate(p1.matrices, cfg, p1.max_finite).tolist()))
     return table_from_raw(method, raw, max_finite=p1.max_finite)
 
 

@@ -85,6 +85,12 @@ def offsets(sizes: Sequence[int], width: int) -> np.ndarray:
     return np.repeat(np.arange(len(sizes), dtype=np.int64) * width, sizes)
 
 
+def ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """``start[i], start[i] + 1, ..., start[i] + count[i] - 1`` for every ``i``,
+    concatenated."""
+    return np.repeat(start - np.cumsum(count) + count, count) + np.arange(count.sum())
+
+
 def expand_many(g: KnowledgeGraph, seeds: Sequence[Sequence[int]],
                 radius: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Sorted member and edge arrays of each seed list's ``radius``-hop subgraph.
@@ -103,7 +109,7 @@ def expand_many(g: KnowledgeGraph, seeds: Sequence[Sequence[int]],
         node, article = frontier % n, frontier // n
         start = g.indptr[node]
         count = g.indptr[node + 1] - start
-        at = np.repeat(start - np.cumsum(count) + count, count) + np.arange(count.sum())
+        at = ranges(start, count)
         near = np.repeat(article * n, count) + g.indices[at]
         rows.append((near, np.repeat(article * m, count) + g.edge_id[at]))
         frontier = distinct(near)

@@ -7,8 +7,9 @@ over the whole union graph, neighborhood overlap costs are recomputed from
 raw adjacency sets, the JointIC table is the per-orientation loop of its
 definition, the frequency tables are the
 per-predicate loops of theirs, the pruned graph is built from a list of
-every record with set-based passes, and the article-distance aggregates
-follow their definitions directly. The version 1 snapshot writer, which
+every record with set-based passes, the CSR rows come from one stable
+argsort of both edge ends, and the article-distance aggregates follow
+their definitions directly. The version 1 snapshot writer, which
 ``kg.load_snapshot`` still reads, packs one edge record at a time.
 """
 
@@ -18,6 +19,8 @@ import heapq
 import math
 import struct
 from collections import Counter, defaultdict, deque
+
+import numpy as np
 
 from sedrec.kg import KnowledgeGraph, PassStats, PruneStats
 
@@ -86,6 +89,14 @@ def union_distance_matrix(u, costs, from_ids, to_ids):
         dist = full_dijkstra(adjacency, costs, g.node_index(m))
         rows.append([math.inf if t is None else dist.get(t, math.inf) for t in targets])
     return rows
+
+
+def csr_argsort(u, v, n):
+    """``kg._csr`` by one stable argsort of all ``2 * len(u)`` edge ends."""
+    ends = np.concatenate([v, u])
+    order = np.argsort(ends, kind="stable")
+    indptr = np.searchsorted(ends[order], np.arange(n + 1))
+    return indptr, np.concatenate([u, v])[order], order - len(u) * (order >= len(u))
 
 
 def joint_ic_loop(g):

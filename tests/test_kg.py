@@ -29,7 +29,7 @@ from sedrec.kg import (
 from sedrec.subgraph import expand
 
 from helpers import IDENTITY_PRUNE, graph_from_edges, lit, nt, random_pruned_graphs
-from oracles import build_graph_lists, snapshot_v1
+from oracles import build_graph_lists, csr_argsort, snapshot_v1
 
 
 # ---------------------------------------------------------------- parsing
@@ -384,6 +384,26 @@ def test_edge_columns_and_csr_agree_with_the_views():
     # built once, not per access
     assert g.edge_endpoints is g.edge_endpoints
     assert g.edge_predicates is g.edge_predicates
+
+
+def test_csr_matches_one_stable_argsort_on_random_canonical_edges():
+    """``_csr`` sorts only ``edge_v``; its arrays, dtypes included, equal one
+    stable argsort of both ends, on edge lists from empty to dense, with
+    isolated nodes and nodes past the last edge."""
+    rng = np.random.default_rng(17)
+    for trial in range(400):
+        n = int(rng.integers(1, 25))
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        chosen = sorted(pairs[i] for i in rng.permutation(len(pairs))[:rng.integers(0, 40)])
+        u = np.array([a for a, _ in chosen], dtype=np.int64)
+        v = np.array([b for _, b in chosen], dtype=np.int64)
+        n += int(rng.integers(0, 3))  # nodes no edge touches
+        got, want = kg._csr(u, v, n), csr_argsort(u, v, n)
+        for x, y in zip(got, want):
+            assert x.dtype == y.dtype and np.array_equal(x, y), (trial, chosen, n)
+    empty = np.zeros(0, dtype=np.int64)
+    for x, y in zip(kg._csr(empty, empty, 0), csr_argsort(empty, empty, 0)):
+        assert x.dtype == y.dtype and np.array_equal(x, y)
 
 
 def test_graph_memory_per_edge(tmp_path):

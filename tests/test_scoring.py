@@ -46,10 +46,17 @@ from sedrec.scoring import (
     znormalize,
 )
 from sedrec.subgraph import ExpansionConfig, SubGraph, expand, union
-from sedrec.weighting import EdgeCosts, WeightingScheme
+from sedrec.weighting import EdgeCosts, WeightingScheme, joint_ic_costs
 
 from helpers import graph_from_edges
-from oracles import bfs_hops, enum_shortest_from, expand_bfs, union_distance_matrix
+from oracles import (
+    all_pairs_article_distance,
+    bfs_hops,
+    directional_article_distance,
+    enum_shortest_from,
+    expand_bfs,
+    union_distance_matrix,
+)
 
 
 def full_subgraph(g, seed_names=()):
@@ -194,6 +201,57 @@ def test_core_pair_pass_equals_full_dijkstra_oracle(case, scheme):
     backward = union_distance_matrix(u, costs, s2, s1)
     assert distance_matrix(u, costs, s1, s2) == forward
     assert pair_matrices(u, costs, s1, s2) == (forward, backward)
+
+
+def oracle_matrices(u, costs, s1, s2):
+    return (union_distance_matrix(u, costs, s1, s2), union_distance_matrix(u, costs, s2, s1))
+
+
+INF = math.inf
+
+
+def test_relaxation_hand_cases():
+    """Tied 2-hop paths, a 6-hop path (seven sweeps), a second component, an
+    unresolved seed, a self pair and an empty union."""
+    g = graph_from_edges([("a", "b"), ("a", "c"), ("b", "d"), ("c", "d"), ("d", "e1"),
+                          ("e1", "e2"), ("e2", "e3"), ("e3", "e4"), ("z1", "z2")])
+    u, costs = full_subgraph(g), unit_costs(g)
+    s1, s2 = ["a", "m.missing", "z1"], ["a", "d", "e4", "z2"]
+    forward, backward = pair_matrices(u, costs, s1, s2)
+    assert forward == [[0.0, 2.0, 6.0, INF], [INF] * 4, [INF, INF, INF, 1.0]]
+    assert backward == [[0.0, INF, INF], [2.0, INF, INF], [6.0, INF, INF], [INF, INF, 1.0]]
+    assert (forward, backward) == oracle_matrices(u, costs, s1, s2)
+    assert pair_matrices(u, costs, ["a", "e4"], ["a", "e4"]) == ([[0.0, 6.0], [6.0, 0.0]],) * 2
+    nothing = SubGraph(g, frozenset(), frozenset(), frozenset())
+    assert pair_matrices(nothing, costs, ["m.x", "a"], ["m.y"]) == ([[INF], [INF]], [[INF, INF]])
+
+
+def test_relaxation_is_exact_over_zero_cost_edges():
+    """RWS: b's closed neighbourhood lies inside a's, so b->a costs 0.
+    JointIC: the most informative edge costs 0. Paths cross those edges."""
+    g = graph_from_edges([("a", "b", "p"), ("a", "c", "q"), ("b", "c", "p"), ("a", "x", "r"),
+                          ("c", "y", "p"), ("x", "w", "q"), ("y", "w", "q"), ("w", "t", "r")])
+    u = full_subgraph(g)
+    rws = EdgeCosts(g, WeightingScheme.RWS)
+    b, a = g.node_index("b"), g.node_index("a")
+    assert rws.cost(b, a, g.edge_between(b, a)) == 0.0
+    assert 0.0 in joint_ic_costs(g)
+    s1, s2 = ["b", "t"], ["a", "w", "y", "b"]
+    for scheme in (WeightingScheme.RWS, WeightingScheme.JOINT_IC):
+        costs = EdgeCosts(g, scheme)
+        assert pair_matrices(u, costs, s1, s2) == oracle_matrices(u, costs, s1, s2), scheme
+
+
+def test_relaxation_is_exact_on_tied_weighted_paths():
+    """The ring's edges share one predicate, so AF costs tie and both halves
+    of the ring are shortest paths."""
+    ring = [(f"r{i}", f"r{(i + 1) % 8}", "p") for i in range(8)]
+    g = graph_from_edges(ring + [("r0", "h", "p"), ("r4", "h", "q")])
+    u = full_subgraph(g)
+    for scheme in (WeightingScheme.AF, WeightingScheme.AF_IAF, WeightingScheme.UNWEIGHTED):
+        costs = EdgeCosts(g, scheme)
+        s1, s2 = ["r0", "r2"], ["r4", "r6", "h"]
+        assert pair_matrices(u, costs, s1, s2) == oracle_matrices(u, costs, s1, s2), scheme
 
 
 # ------------------------------------------------------------ sed variants
@@ -618,14 +676,14 @@ def test_batched_pass_one_equals_full_dijkstra_oracle(scheme, radius):
         g, articles, annotations, pairs, seeds = random_pass_world(seed)
         p1 = pass_one(g, articles, pairs, annotations, pass_config(scheme, radius))
         costs = EdgeCosts(g, scheme)
-        assert list(p1.matrices) == [pid for pid, _, _ in pairs]
+        assert p1.pair_ids == tuple(pid for pid, _, _ in pairs)
         finite = [0.0]
-        for pid, a, b in pairs:
+        for k, (pid, a, b) in enumerate(pairs):
             u = union(oracle_subgraph(g, seeds[a], radius), oracle_subgraph(g, seeds[b], radius))
             s1, s2 = sorted(seeds[a]), sorted(seeds[b])
             want = (union_distance_matrix(u, costs, s1, s2),
                     union_distance_matrix(u, costs, s2, s1))
-            assert p1.matrices[pid] == want, (seed, pid)
+            assert p1.matrices.pair(k) == want, (seed, pid)
             finite += [d for mat in want for row in mat for d in row if math.isfinite(d)]
         assert p1.max_finite == (max(finite) if max(finite) > 0.0 else 1.0)
 
@@ -638,9 +696,9 @@ def test_pass_one_is_unchanged_by_small_batches(monkeypatch, scheme):
     batches = []
     real = scoring._core_batch
 
-    def counting(*args):
-        batches.append(len(args[-1]))
-        return real(*args)
+    def counting(g, costs, members, *args):
+        batches.append(len(members))
+        return real(g, costs, members, *args)
 
     monkeypatch.setattr(scoring, "_core_batch", counting)
     monkeypatch.setattr(scoring, "_BATCH_EDGES", 1)
@@ -648,10 +706,68 @@ def test_pass_one_is_unchanged_by_small_batches(monkeypatch, scheme):
     assert len(batches) > 1 and sum(batches) == len(pairs)
 
 
+@pytest.mark.parametrize("chunk", [1, 24, 96])
+@pytest.mark.parametrize("scheme", [WeightingScheme.RWS, WeightingScheme.JOINT_IC])
+def test_pass_one_is_unchanged_by_small_chunks(monkeypatch, scheme, chunk):
+    g, articles, annotations, pairs, _ = random_pass_world(5, n_articles=8)
+    cfg = pass_config(scheme, 2)
+    whole = pass_one(g, articles, pairs, annotations, cfg)
+    monkeypatch.setattr(scoring, "_CHUNK", chunk)
+    assert pass_one(g, articles, pairs, annotations, cfg) == whole
+
+
+def reference_aggregate(forward, backward, cfg, max_finite):
+    """The variant rule of one pair by the definitions in the oracles."""
+    def row(mat):
+        return directional_article_distance(
+            range(len(mat)), range(len(mat[0])),
+            lambda i, j: None if math.isinf(mat[i][j]) else mat[i][j], cfg.penalty, max_finite)
+
+    if cfg.variant is SedVariant.SYM:
+        return (row(forward) + row(backward)) / 2.0
+    mat = backward if cfg.reverse_direction else forward
+    if cfg.variant is SedVariant.ROW:
+        return row(mat)
+    return all_pairs_article_distance(
+        range(len(mat)), range(len(mat[0])),
+        lambda i, j: None if math.isinf(mat[i][j]) else mat[i][j], cfg.penalty, max_finite)
+
+
+def test_aggregate_sums_left_to_right():
+    """Ragged pairs; pair 0 has ten forward rows whose minima numpy's pairwise
+    sum adds up differently from a left-to-right loop."""
+    rng = random.Random(9)
+    tiny = 1e-16
+    forwards = [
+        [[1.0, 3.0]] + [[tiny, 2.0]] * 9,
+        [[0.5, INF, 0.25, 0.0], [INF, INF, INF, INF], [0.3, 0.7, tiny, 0.9]],
+        [[rng.random() * 10 ** -rng.randint(0, 17)] for _ in range(12)],
+        [[INF, 0.1]],
+    ]
+    mats = [(f, [list(col) for col in zip(*f)]) for f in forwards]
+    mats[1][1][2][0] = tiny  # backward need not be the transpose
+    minima, total = [min(r) for r in forwards[0]], 0.0
+    for x in minima:
+        total += x
+    assert float(np.add.reduce(minima)) != total
+    m = scoring.Matrices(np.array([len(f) for f in forwards]),
+                         np.array([len(f[0]) for f in forwards]),
+                         np.array([x for f, _ in mats for r in f for x in r]),
+                         np.array([x for _, b in mats for r in b for x in r]))
+    assert [m.pair(p) for p in range(len(mats))] == mats
+    for variant in SedVariant:
+        for reverse in (False, True):
+            cfg = ScoringConfig(variant=variant, reverse_direction=reverse, penalty=0.9)
+            got = scoring.aggregate(m, cfg, 1.0).tolist()
+            assert got == [reference_aggregate(f, b, cfg, 1.0) for f, b in mats], cfg
+
+
 def test_pass_one_memory_per_union_edge():
-    """Pass one's tracemalloc peak, per union edge, on a 2-hop graph: 83
+    """Pass one's tracemalloc peak, per union edge, on a 2-hop graph: 82
     bytes measured here. The peak is one batch of core-graph arrays over all
-    27 pairs; a per-pair dict core measured 69, held one union at a time."""
+    27 pairs; the relaxation's chunk arrays peak below it (86 with 16,384
+    entries a chunk instead of 4,096), and a per-pair dict core measured 69,
+    held one union at a time."""
     rng = random.Random(3)
     n, m = 2000, 10000
     edges = set()
