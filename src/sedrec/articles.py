@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from collections import Counter
@@ -126,11 +127,22 @@ def tfidf_vectors(corpus: Mapping[str, Article]) -> dict[str, dict[str, float]]:
 
     Stop words are removed, as are terms present in over 80% of the corpus.
     Weight is tf * ln(N / df).
+
+    The last result is kept and returned again for a corpus of equal content
+    in the same order, so every scoring run over one corpus shares one build.
+    The returned mapping and its inner mappings are therefore shared: read
+    them, never change them.
     """
     if not corpus:
         raise ValueError("corpus is empty")
+    return _tfidf(tuple(corpus.items()))
+
+
+# keyed by content, not identity: Article is frozen and hashes its fields
+@functools.lru_cache(maxsize=1)
+def _tfidf(corpus: tuple[tuple[str, Article], ...]) -> dict[str, dict[str, float]]:
     counts = {aid: Counter(t for t in tokenize(a.text) if t not in STOP_WORDS)
-              for aid, a in corpus.items()}
+              for aid, a in corpus}
     df: Counter = Counter()
     for c in counts.values():
         df.update(c.keys())

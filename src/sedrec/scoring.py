@@ -17,13 +17,14 @@ article at once, and ``_core_batch`` builds the core graphs of a batch of
 pairs in one numpy pass: union edges keyed ``pair * E + edge``, node slots
 keyed ``pair * n + node``, the members of union degree <= 1 that are not
 pinned seeds removed by ``kg.peel``, local ids in sorted member order, rows
-grouped by destination from ``kg._csr``, and one ``cost()`` per directed core
-edge. ``_relax`` finds the distances from every pinned seed, one search row
-per pair and seed, by sweeps over flat arrays, at most ``_CHUNK`` core entries
-and slots of search rows at a time. ``_cells`` lays them out as each pair's
-flat forward and backward matrices (``Matrices``). ``pair_matrices``,
-``distance_matrix``, ``node_pair_distance`` and ``sed_variant`` are the same
-code on a batch of one union.
+grouped by destination from ``kg._csr``, and one ``cost()`` per distinct
+directed edge of a batch, shared by every pair whose core holds it. ``_relax``
+finds the distances from every pinned seed, one search row per pair and seed,
+by sweeps over flat arrays, at most ``_CHUNK`` core entries and slots of
+search rows at a time, cut from a cumulative sum by ``_cuts``. ``_cells``
+lays them out as each pair's flat forward and backward matrices
+(``Matrices``). ``pair_matrices``, ``distance_matrix``, ``node_pair_distance``
+and ``sed_variant`` are the same code on a batch of one union.
 
 This is exact. A non-seed member of degree <= 1 lies inside no path between
 two seeds, and relaxing back from it gives ``d + c >= d`` in floating point,
@@ -34,7 +35,9 @@ at every node, the least left-to-right float sum over the paths that reach
 it. Dijkstra returns that same value at every settled target, ties and
 zero-cost edges included, so the sweeps give the early-stopping Dijkstra's
 distances bit for bit. Chunks split the set of search rows, never a row, so
-they cannot change a value.
+they cannot change a value. A cost depends only on its ``(source, target,
+edge)`` arguments, which the distinct key ``edge * 2 + direction`` fixes, so
+sharing one ``cost()`` across the pairs of a batch cannot change one either.
 """
 
 from __future__ import annotations
@@ -102,8 +105,11 @@ _BATCH_EDGES = 2 ** 16
 
 # A chunk of search rows relaxes at most this many core entries and slots at
 # once, or one search row's when that is more, so the relaxation's arrays stay
-# small whatever the batch.
-_CHUNK = 2 ** 12
+# small whatever the batch. A chunk sweeps until its slowest row converges, so
+# large chunks pay for their deepest row and small ones for numpy's fixed cost
+# per call. 2^14 was the fastest of 2^12 to 2^18 on the grid pass ones, where
+# each of a chunk's float64 arrays takes at most 128 kB.
+_CHUNK = 2 ** 14
 
 
 def _core_batch(g: KnowledgeGraph, costs: EdgeCosts, members: Sequence[Sequence[np.ndarray]],
@@ -114,10 +120,11 @@ def _core_batch(g: KnowledgeGraph, costs: EdgeCosts, members: Sequence[Sequence[
     ``pins`` holds the keys ``p * len(g) + node`` of its pinned members, sorted
     and distinct. Returns the directed core entries grouped by destination
     slot, then sorted by neighbour: each entry's neighbour local id and the
-    cost of stepping from that neighbour to the destination, one
-    ``costs.cost()`` per directed core edge; each slot's first entry ``row``,
-    one past the last slot's; each pair's first slot ``first``, one past the
-    last pair's; and each pin's local id.
+    cost of stepping from that neighbour to the destination, from one
+    ``costs.cost()`` per distinct directed edge of the batch, however many
+    pairs share it; each slot's first entry ``row``, one past the last slot's;
+    each pair's first slot ``first``, one past the last pair's; and each pin's
+    local id.
     """
     n, m = len(g), max(g.num_edges, 1)
 
@@ -144,12 +151,37 @@ def _core_batch(g: KnowledgeGraph, costs: EdgeCosts, members: Sequence[Sequence[
     su, sv = rank[su], rank[sv]
     row, target, at = _csr(su, sv, len(node))
     del su, sv
-    edge = edge[at]
-    del at
-    into = np.fromiter(map(costs.cost, memoryview(node[target]),
-                           memoryview(np.repeat(node, np.diff(row))), memoryview(edge)),
+    near, pin_local = local[target], local[rank[pins]]
+    del local, rank
+    # Pairs share edges, so each distinct directed edge gets one cost(): keyed
+    # edge * 2 + 1 when the step runs from the edge's higher end to its lower.
+    # Only the inverse index and the distinct (source, target, edge) columns
+    # are held while cost() runs, since RWS's neighbourhood memo peaks there.
+    key = edge[at] * 2 + (node[target] > np.repeat(node, np.diff(row)))
+    del at, target, edge, node
+    keys = distinct(key)
+    inverse = np.searchsorted(keys, key)
+    del key
+    edge, down = np.divmod(keys, 2)
+    del keys
+    source = np.where(down, g.edge_v[edge], g.edge_u[edge])
+    dest = np.where(down, g.edge_u[edge], g.edge_v[edge])
+    del down
+    cost = np.fromiter(map(costs.cost, memoryview(source), memoryview(dest), memoryview(edge)),
                        np.float64, len(edge))
-    return local[target], into, row, first, local[rank[pins]]
+    return near, cost[inverse], row, first, pin_local
+
+
+def _cuts(width: np.ndarray) -> list[int]:
+    """Chunk bounds over rows of ``width``: from where the last chunk ended,
+    each chunk takes the most rows whose widths sum to at most ``_CHUNK``,
+    and at least one: one ``searchsorted`` per chunk."""
+    end = np.concatenate([[0], np.cumsum(width)])
+    bounds = [0]
+    while bounds[-1] < len(width):
+        a = bounds[-1]
+        bounds.append(max(a + 1, int(np.searchsorted(end, end[a] + _CHUNK, "right")) - 1))
+    return bounds
 
 
 def _relax(local: np.ndarray, into: np.ndarray, row: np.ndarray, first: np.ndarray,
@@ -165,13 +197,7 @@ def _relax(local: np.ndarray, into: np.ndarray, row: np.ndarray, first: np.ndarr
     """
     slots, entries = np.diff(first), np.diff(row[first])
     degrees, pins = np.diff(row), np.diff(pin_first)
-    bounds, size = [0], 0
-    for r, w in enumerate((slots + entries)[pin_pair].tolist()):
-        if size + w > _CHUNK and r > bounds[-1]:
-            bounds.append(r)
-            size = 0
-        size += w
-    bounds.append(len(pin_pair))
+    bounds = _cuts((slots + entries)[pin_pair])
     out = [np.zeros(0)]
     for a, b in zip(bounds, bounds[1:]):
         p = pin_pair[a:b]

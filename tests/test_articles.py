@@ -19,6 +19,7 @@ from sedrec.articles import (
     tokenize,
     write_annotations,
 )
+from sedrec import articles
 from sedrec.errors import InputDataError
 
 from helpers import graph_from_edges
@@ -101,6 +102,29 @@ def test_tfidf_single_occurrence_survives_df_filter():
     texts = ["shared lonely", "shared", "shared word", "shared"]
     vecs = tfidf_vectors(corpus_of(texts))
     assert "lonely" in vecs["d0"]
+
+
+def fresh_tfidf(corpus):
+    """A TF-IDF build that bypasses the memo."""
+    return articles._tfidf.__wrapped__(tuple(corpus.items()))
+
+
+def test_tfidf_memo_is_keyed_by_content():
+    texts = ["zebra yak emu", "yak owl", "emu emu owl", "lynx owl"]
+    first = tfidf_vectors(corpus_of(texts))
+    again = tfidf_vectors(corpus_of(list(texts)))  # fresh objects, equal content
+    assert again is first and again == fresh_tfidf(corpus_of(texts))
+    base = corpus_of(texts)
+    edited = {**base, "d2": Article("d2", "", "emu owl owl")}
+    grown = corpus_of(texts + ["zebra lynx"])
+    reordered = dict(reversed(base.items()))
+    assert fresh_tfidf(edited) != fresh_tfidf(base)
+    for corpus in (edited, grown, reordered, base):
+        tfidf_vectors(corpus_of(texts))  # the memo holds the base corpus
+        got, want = tfidf_vectors(corpus), fresh_tfidf(corpus)
+        assert got == want
+        assert list(got) == list(want) == list(corpus)
+        assert all(list(got[a]) == list(want[a]) for a in want)
 
 
 def test_tokenize_alphanumeric_runs():

@@ -1,3 +1,4 @@
+import collections
 import gc
 import hashlib
 import logging
@@ -706,7 +707,7 @@ def test_pass_one_is_unchanged_by_small_batches(monkeypatch, scheme):
     assert len(batches) > 1 and sum(batches) == len(pairs)
 
 
-@pytest.mark.parametrize("chunk", [1, 24, 96])
+@pytest.mark.parametrize("chunk", [1, 24, 96, 2 ** 14, 2 ** 30])
 @pytest.mark.parametrize("scheme", [WeightingScheme.RWS, WeightingScheme.JOINT_IC])
 def test_pass_one_is_unchanged_by_small_chunks(monkeypatch, scheme, chunk):
     g, articles, annotations, pairs, _ = random_pass_world(5, n_articles=8)
@@ -714,6 +715,81 @@ def test_pass_one_is_unchanged_by_small_chunks(monkeypatch, scheme, chunk):
     whole = pass_one(g, articles, pairs, annotations, cfg)
     monkeypatch.setattr(scoring, "_CHUNK", chunk)
     assert pass_one(g, articles, pairs, annotations, cfg) == whole
+
+
+def test_chunk_cuts_split_rows_in_order(monkeypatch):
+    """Each chunk takes rows in order from where the last one ended, as many
+    as fit in ``_CHUNK``; only a chunk of one row may exceed it."""
+    rng = random.Random(4)
+    for chunk in (1, 7, 24, 2 ** 14):
+        monkeypatch.setattr(scoring, "_CHUNK", chunk)
+        for _ in range(60):
+            widths = [rng.choice([1, 2, 5, 9, 30, chunk, chunk + 1, 3 * chunk])
+                      for _ in range(rng.randint(0, 40))]
+            bounds = scoring._cuts(np.array(widths, dtype=np.int64))
+            assert bounds[0] == 0 and bounds[-1] == len(widths)
+            for a, b in zip(bounds, bounds[1:]):
+                assert a < b
+                size = sum(widths[a:b])
+                assert size <= chunk or b == a + 1, (chunk, widths, bounds)
+                if b < len(widths):
+                    assert size + widths[b] > chunk, (chunk, widths, bounds)
+
+
+class CountingCosts(EdgeCosts):
+    """Records the directed (source, target) of every ``cost()`` call."""
+
+    def __init__(self, g, scheme):
+        super().__init__(g, scheme)
+        self.calls = []
+
+    def cost(self, source, target, edge):
+        self.calls.append((source, target))
+        return super().cost(source, target, edge)
+
+
+def core_steps(g, u, pins):
+    """The directed steps of a union's core: its edges left once members of
+    degree <= 1 outside ``pins`` are dropped, until none is left, both ways."""
+    ends = [(int(g.edge_u[e]), int(g.edge_v[e])) for e in u.edges]
+    while True:
+        degree = collections.Counter(x for end in ends for x in end)
+        kept = [(a, b) for a, b in ends
+                if all(degree[x] > 1 or x in pins for x in (a, b))]
+        if kept == ends:
+            return {(a, b) for a, b in ends} | {(b, a) for a, b in ends}
+        ends = kept
+
+
+@pytest.mark.parametrize("scheme", [WeightingScheme.RWS, WeightingScheme.AF_IAF])
+def test_pass_one_costs_each_distinct_directed_edge_once(monkeypatch, scheme):
+    """The pairs of one batch share edges; each directed edge costs once."""
+    g, articles, annotations, pairs, seeds = random_pass_world(5, n_articles=8)
+    cfg = pass_config(scheme, 2)
+    entries, directed = 0, set()
+    for _, a, b in pairs:
+        u = union(expand(g, seeds[a], cfg.expansion), expand(g, seeds[b], cfg.expansion))
+        pins = {g.node_index(s) for s in seeds[a] | seeds[b] if g.has_node(s)}
+        steps = core_steps(g, u, pins & u.members)
+        entries += len(steps)
+        directed |= steps
+    made, batches = [], []
+    real = scoring._core_batch
+
+    def counting_batch(g, costs, members, *args):
+        batches.append(len(members))
+        return real(g, costs, members, *args)
+
+    monkeypatch.setattr(scoring, "EdgeCosts", lambda *a: made.append(CountingCosts(*a)) or made[-1])
+    monkeypatch.setattr(scoring, "_core_batch", counting_batch)
+    whole = pass_one(g, articles, pairs, annotations, cfg)
+    assert batches == [len(pairs)]
+    (calls,) = [c.calls for c in made]
+    assert sorted(calls) == sorted(directed)
+    assert len(calls) < entries
+    monkeypatch.setattr(scoring, "_BATCH_EDGES", 1)
+    assert pass_one(g, articles, pairs, annotations, cfg) == whole
+    assert len(batches) > 2
 
 
 def reference_aggregate(forward, backward, cfg, max_finite):
@@ -763,11 +839,12 @@ def test_aggregate_sums_left_to_right():
 
 
 def test_pass_one_memory_per_union_edge():
-    """Pass one's tracemalloc peak, per union edge, on a 2-hop graph: 82
-    bytes measured here. The peak is one batch of core-graph arrays over all
-    27 pairs; the relaxation's chunk arrays peak below it (86 with 16,384
-    entries a chunk instead of 4,096), and a per-pair dict core measured 69,
-    held one union at a time."""
+    """Pass one's tracemalloc peak, per union edge, on a 2-hop graph: 87
+    bytes measured here. The peak is the relaxation's chunk arrays at 16,384
+    entries a chunk; with 4,096 it read 82, set by one batch of core-graph
+    arrays over all 27 pairs inside ``kg.peel``. The one-``cost()``-per-edge
+    columns peak below both, and a per-pair dict core measured 69, held one
+    union at a time."""
     rng = random.Random(3)
     n, m = 2000, 10000
     edges = set()
