@@ -25,6 +25,7 @@ from .evaluation import (
     ANNOTATORS,
     AnnotationRecord,
     EvalCondition,
+    check_pair_sets,
     evaluate_scores,
     load_cnrec,
     read_ratings_csv,
@@ -317,6 +318,8 @@ def _report(args, ensemble_spec: str | None):
                             expect_pairs=args.expect_pairs or None)
     conditions = [EvalCondition.parse(c)
                   for c in args.conditions.split(",") if c.strip()]
+    # an ensemble z-normalizes its members, so check their pairs first
+    check_pair_sets(records, {m: table.column(m) for m in table.methods()})
     table = _with_ensemble(table, ensemble_spec)
     decisions = {m: {pid: ps.decision for pid, ps in table.column(m).items()}
                  for m in table.methods()}

@@ -287,22 +287,31 @@ class MetricsReport:
         return "\n".join(lines)
 
 
-def evaluate_scores(records: Sequence[AnnotationRecord],
-                    decisions_by_method: Mapping[str, Mapping[str, bool]],
-                    z_by_method: Mapping[str, Mapping[str, float]],
-                    conditions: Sequence[EvalCondition] = STANDARD_CONDITIONS,
-                    ) -> MetricsReport:
-    """Join method decisions with benchmark labels across all conditions."""
+def check_pair_sets(records: Sequence[AnnotationRecord],
+                    pairs_by_method: Mapping[str, Iterable[str]]) -> None:
+    """Raise ``InputDataError`` unless each method scores exactly the
+    records' pairs and there are at least three of them to correlate."""
     expected = {r.pair_id for r in records}
-    for method, decisions in decisions_by_method.items():
-        missing = expected - set(decisions)
-        extra = set(decisions) - expected
+    for method, pairs in pairs_by_method.items():
+        missing = expected - set(pairs)
+        extra = set(pairs) - expected
         if missing or extra:
             example = sorted(missing or extra)[:5]
             raise InputDataError(
                 f"method {method!r} pair set mismatch: "
                 f"{len(missing)} missing, {len(extra)} unknown (e.g. {example})"
             )
+    if len(expected) < 3:
+        raise InputDataError(f"evaluation needs at least three pairs, got {len(expected)}")
+
+
+def evaluate_scores(records: Sequence[AnnotationRecord],
+                    decisions_by_method: Mapping[str, Mapping[str, bool]],
+                    z_by_method: Mapping[str, Mapping[str, float]],
+                    conditions: Sequence[EvalCondition] = STANDARD_CONDITIONS,
+                    ) -> MetricsReport:
+    """Join method decisions with benchmark labels across all conditions."""
+    check_pair_sets(records, decisions_by_method)
     mean_q2 = {r.pair_id: r.mean_q2 for r in records}
     entries = {}
     for cond in conditions:

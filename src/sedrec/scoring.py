@@ -12,19 +12,22 @@ substitutes the disconnection penalty for unreachable or unresolvable seeds,
 and applies the ROW/SYM/AVG rule. ``score_sed`` runs both passes;
 ``sed_variant`` is the same two steps for a single pair.
 
-Pass one works on arrays throughout. ``subgraph.expand_many`` expands every
-article at once, and ``_core_batch`` builds the core graphs of a batch of
-pairs in one numpy pass: union edges keyed ``pair * E + edge``, node slots
-keyed ``pair * n + node``, the members of union degree <= 1 that are not
-pinned seeds removed by ``kg.peel``, local ids in sorted member order, rows
-grouped by destination from ``kg._csr``, and one ``cost()`` per distinct
-directed edge of a batch, shared by every pair whose core holds it. ``_relax``
-finds the distances from every pinned seed, one search row per pair and seed,
-by sweeps over flat arrays, at most ``_CHUNK`` core entries and slots of
-search rows at a time, cut from a cumulative sum by ``_cuts``. ``_cells``
-lays them out as each pair's flat forward and backward matrices
-(``Matrices``). ``pair_matrices``, ``distance_matrix``, ``node_pair_distance``
-and ``sed_variant`` are the same code on a batch of one union.
+Pass one runs in one process, on arrays throughout. ``subgraph.expand_many``
+expands every article at once. The pairs go in batches of at most
+``_BATCH_EDGES`` union edges, or the graph's edge count when that is larger,
+and ``_core_batch`` builds the core graphs of a batch in one numpy pass:
+union edges keyed ``pair * E + edge``, node slots keyed ``pair * n + node``,
+the members of union degree <= 1 that are not pinned seeds removed by
+``kg.peel``, local ids in sorted member order, rows grouped by destination
+from ``kg._csr``, and one ``cost()`` per distinct directed edge of a batch,
+shared by every pair whose core holds it. ``_relax`` finds the distances
+from every pinned seed, one search row per pair and seed, by sweeps over flat
+arrays, at most ``_CHUNK`` core entries and slots of search rows at a time.
+One rule, ``_cuts``, cuts both the batches and the chunks from a cumulative
+sum. ``_cells`` lays the distances out as each pair's flat forward and
+backward matrices (``Matrices``). ``pair_matrices``, ``distance_matrix``,
+``node_pair_distance`` and ``sed_variant`` are the same code on a batch of one
+union.
 
 This is exact. A non-seed member of degree <= 1 lies inside no path between
 two seeds, and relaxing back from it gives ``d + c >= d`` in floating point,
@@ -44,8 +47,6 @@ from __future__ import annotations
 
 import logging
 import math
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
@@ -172,15 +173,15 @@ def _core_batch(g: KnowledgeGraph, costs: EdgeCosts, members: Sequence[Sequence[
     return near, cost[inverse], row, first, pin_local
 
 
-def _cuts(width: np.ndarray) -> list[int]:
-    """Chunk bounds over rows of ``width``: from where the last chunk ended,
-    each chunk takes the most rows whose widths sum to at most ``_CHUNK``,
-    and at least one: one ``searchsorted`` per chunk."""
+def _cuts(width: np.ndarray, cap: int) -> list[int]:
+    """Bounds that cut rows of ``width`` into runs, in order: from where the
+    last run ended, each takes the most rows whose widths sum to at most
+    ``cap``, and at least one: one ``searchsorted`` per run."""
     end = np.concatenate([[0], np.cumsum(width)])
     bounds = [0]
     while bounds[-1] < len(width):
         a = bounds[-1]
-        bounds.append(max(a + 1, int(np.searchsorted(end, end[a] + _CHUNK, "right")) - 1))
+        bounds.append(max(a + 1, int(np.searchsorted(end, end[a] + cap, "right")) - 1))
     return bounds
 
 
@@ -197,7 +198,7 @@ def _relax(local: np.ndarray, into: np.ndarray, row: np.ndarray, first: np.ndarr
     """
     slots, entries = np.diff(first), np.diff(row[first])
     degrees, pins = np.diff(row), np.diff(pin_first)
-    bounds = _cuts((slots + entries)[pin_pair])
+    bounds = _cuts((slots + entries)[pin_pair], _CHUNK)
     out = [np.zeros(0)]
     for a, b in zip(bounds, bounds[1:]):
         p = pin_pair[a:b]
@@ -563,46 +564,19 @@ def compute_seed_sets(articles: Mapping[str, Article],
     return out
 
 
-# worker context inherited through fork; see pass_one
-_PAIR_CTX: dict | None = None
-
-
 def _chunk_matrices(pairs: Sequence[Pair], graph: KnowledgeGraph, costs: EdgeCosts,
                     members: Mapping[str, np.ndarray], edges: Mapping[str, np.ndarray],
                     nodes: Mapping[str, np.ndarray]) -> Matrices:
-    """The matrices of ``pairs``, in batches of at most
+    """The matrices of ``pairs``, in batches cut by ``_cuts`` at
     ``max(graph.num_edges, _BATCH_EDGES)`` union edges, counted before the
     two articles' edges are merged."""
-    cap = max(graph.num_edges, _BATCH_EDGES)
-    batches, size = [], 0
-    for pair in pairs:
-        grow = len(edges[pair[1]]) + len(edges[pair[2]])
-        if not batches or size + grow > cap:
-            batches.append([])
-            size = 0
-        batches[-1].append(pair)
-        size += grow
+    bounds = _cuts(np.array([len(edges[a]) + len(edges[b]) for _, a, b in pairs], dtype=np.int64),
+                   max(graph.num_edges, _BATCH_EDGES))
+    batches = [pairs[i:j] for i, j in zip(bounds, bounds[1:])]
     return Matrices.concat([_batch_matrices(
         graph, costs, [(members[a], members[b]) for _, a, b in batch],
         [(edges[a], edges[b]) for _, a, b in batch],
         [(nodes[a], nodes[b]) for _, a, b in batch]) for batch in batches])
-
-
-def _pair_chunk(pairs: list[Pair]) -> Matrices:
-    return _chunk_matrices(pairs, **_PAIR_CTX)
-
-
-def _run_pair_pass(pairs: list[Pair], jobs: int) -> Matrices:
-    if jobs > 1:
-        start = multiprocessing.get_start_method(allow_none=False)
-        if start == "fork":
-            size = max(1, len(pairs) // (4 * jobs))
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                return Matrices.concat(list(pool.map(_pair_chunk, [
-                    pairs[i:i + size] for i in range(0, len(pairs), size)])))
-        log.warning("jobs=%d needs the 'fork' start method, not %r; "
-                    "running the pair pass serially", jobs, start)
-    return _pair_chunk(pairs)
 
 
 _PASS_ONE_FIELDS = ("expansion", "weighting", "screening", "context_words")
@@ -627,15 +601,13 @@ class PassOne:
 def pass_one(kg: KnowledgeGraph, articles: Mapping[str, Article],
              pairs: Sequence[Pair],
              annotations: Mapping[str, list[EntityAnnotation]],
-             cfg: ScoringConfig, jobs: int = 1) -> PassOne:
+             cfg: ScoringConfig) -> PassOne:
     """Every pair's ``pair_matrices``, from one batched expansion and batched
     core graphs, and the corpus-wide maximum finite cost.
 
     Both directions are kept, so the normalization constant and the matrices
-    serve every variant, penalty and direction. Results do not depend on
-    ``jobs``.
+    serve every variant, penalty and direction.
     """
-    global _PAIR_CTX
     if len(pairs) < 2:
         raise InputDataError("scoring needs at least two article pairs")
     article_ids = {a for _, a, b in pairs} | {b for _, a, b in pairs}
@@ -650,14 +622,8 @@ def pass_one(kg: KnowledgeGraph, articles: Mapping[str, Article],
                          dtype=np.int64) for a in aids}
     members, edges = expand_many(kg, [nodes[a][nodes[a] >= 0] for a in aids],
                                  cfg.expansion.radius)
-    costs = EdgeCosts(kg, cfg.weighting)
-
-    _PAIR_CTX = {"graph": kg, "costs": costs, "members": dict(zip(aids, members)),
-                 "edges": dict(zip(aids, edges)), "nodes": nodes}
-    try:
-        matrices = _run_pair_pass(list(pairs), jobs)
-    finally:
-        _PAIR_CTX = None
+    matrices = _chunk_matrices(pairs, kg, EdgeCosts(kg, cfg.weighting),
+                               dict(zip(aids, members)), dict(zip(aids, edges)), nodes)
 
     max_finite = max(float(np.max(x[np.isfinite(x)], initial=0.0))
                      for x in (matrices.forward, matrices.backward))
@@ -684,8 +650,14 @@ def score_sed(kg: KnowledgeGraph, articles: Mapping[str, Article],
               annotations: Mapping[str, list[EntityAnnotation]],
               cfg: ScoringConfig, jobs: int = 1,
               method: str = "sed") -> ScoreTable:
-    """Score every article pair under the configured distance variant."""
-    return score_from(pass_one(kg, articles, pairs, annotations, cfg, jobs), cfg, method)
+    """Score every article pair under the configured distance variant.
+
+    ``jobs`` is ignored, and any value but 1 logs a warning: the pair pass
+    runs in this process. The keyword goes once perfbench stops passing it.
+    """
+    if jobs != 1:
+        log.warning("jobs=%d is ignored; the pair pass runs in this process", jobs)
+    return score_from(pass_one(kg, articles, pairs, annotations, cfg), cfg, method)
 
 
 def score_tfidf(articles: Mapping[str, Article], pairs: Sequence[Pair],
@@ -714,4 +686,6 @@ def import_embedding_scores(path, expected_pairs: Iterable[str],
     missing = sorted(expected - set(raw))
     if missing:
         raise InputDataError(f"embedding file lacks {len(missing)} pairs (e.g. {missing[:5]})")
+    if len(raw) < 2:
+        raise InputDataError("scoring needs at least two article pairs")
     return table_from_raw(method, raw)

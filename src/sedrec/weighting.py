@@ -50,7 +50,12 @@ def _incidence(g: KnowledgeGraph) -> np.ndarray:
 
 
 def _frequency(g: KnowledgeGraph, scheme: WeightingScheme) -> list[float]:
-    """Normalized scores by predicate id: each log from ``math.log``."""
+    """Normalized scores in [0, 1] by predicate id, for AF / IAF / AF-IAF.
+
+    AF favors predicates common in the graph (count over max count); IAF
+    favors rare ones (log of node count over incident nodes, scaled by its
+    maximum); AF-IAF multiplies the two. Each log is taken with ``math.log``.
+    """
     if scheme not in (WeightingScheme.AF, WeightingScheme.IAF, WeightingScheme.AF_IAF):
         raise ValueError(f"{scheme} is not a frequency scheme")
     counts = np.bincount(g.pred_ids)
@@ -62,18 +67,6 @@ def _frequency(g: KnowledgeGraph, scheme: WeightingScheme) -> list[float]:
     if scheme is WeightingScheme.AF_IAF:
         return [a * i for a, i in zip(af, iaf)]
     return af if scheme is WeightingScheme.AF else iaf
-
-
-def frequency_scores(g: KnowledgeGraph, scheme: WeightingScheme) -> dict[str, float]:
-    """Normalized per-predicate scores in [0, 1] for AF / IAF / AF-IAF.
-
-    AF favors predicates common in the graph (count over max count); IAF
-    favors rare ones (log of node count over incident nodes, scaled by its
-    maximum); AF-IAF multiplies the two.
-    """
-    if not g.num_edges:
-        return {}
-    return dict(zip(g.predicates, _frequency(g, scheme)))
 
 
 def frequency_costs(g: KnowledgeGraph, scheme: WeightingScheme) -> tuple[float, ...]:
@@ -133,8 +126,7 @@ class EdgeCosts:
     per queried edge, since only union-graph edges are ever relaxed, and
     memoized by edge index, over neighbourhoods memoized by
     ``functools.lru_cache``; either direction reads
-    ``1 - k / (degree(source) + 1)``. Safe for concurrent reads; racing memo
-    inserts write identical values.
+    ``1 - k / (degree(source) + 1)``.
     """
 
     def __init__(self, g: KnowledgeGraph, scheme: WeightingScheme):

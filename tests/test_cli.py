@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -21,6 +22,19 @@ def snapshot(synthetic_root, tmp_path_factory):
 
 def read_scores(path):
     return ScoreTable.read_csv(path)
+
+
+def small_root(synthetic_root, root, pairs):
+    """A benchmark root with the whole corpus and its first ``pairs`` rated pairs."""
+    shutil.copytree(synthetic_root / "articles", root / "articles")
+    head(synthetic_root / "annotations.csv", root / "annotations.csv", pairs)
+    return root
+
+
+def head(path, out, rows):
+    """Copy the header and the first ``rows`` rows of a CSV file."""
+    out.write_text("\n".join(path.read_text().splitlines()[:rows + 1]) + "\n")
+    return out
 
 
 # ----------------------------------------------------------------- ingest
@@ -247,6 +261,17 @@ def test_score_embedding_import(embedding_scores):
     assert len(col) == 2700
 
 
+@pytest.mark.parametrize("method", ["tfidf", "embedding"])
+def test_score_rejects_a_single_pair(synthetic_root, tmp_path, capsys, method):
+    root = small_root(synthetic_root, tmp_path / "root", 1)
+    embeddings = head(synthetic_root / "embeddings.csv", tmp_path / "embeddings.csv", 1)
+    rc = main(["score", "--corpus", str(root), "--method", method,
+               "--embedding-file", str(embeddings), "--out", str(tmp_path / "out.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "at least two article pairs" in err
+
+
 # --------------------------------------------------------------- evaluate
 
 def test_evaluate_emits_metrics_and_correlations(
@@ -293,6 +318,24 @@ def test_evaluate_rejects_missing_pair(synthetic_root, sed_scores, tmp_path, cap
     assert rc == 2
     err = capsys.readouterr().err
     assert "missing" in err and "p" in err
+
+
+@pytest.mark.parametrize("pairs, rows, ensemble, message", [
+    (3, 1, ["--ensemble", "sed,tfidf"], "pair set mismatch"),
+    (2, 2, [], "at least three pairs"),
+    (1, 1, ["--ensemble", "sed,tfidf"], "at least three pairs"),
+], ids=["ensemble-mismatch", "two-pairs", "one-pair-ensemble"])
+def test_evaluate_rejects_too_few_or_mismatched_pairs(synthetic_root, sed_scores, tfidf_scores,
+                                                      tmp_path, capsys, pairs, rows, ensemble,
+                                                      message):
+    """Pairs are checked before an ensemble z-normalizes its members."""
+    root = small_root(synthetic_root, tmp_path / "root", pairs)
+    sed, tfidf = (head(f, tmp_path / f.name, rows) for f in (sed_scores, tfidf_scores))
+    rc = main(["evaluate", "--scores", f"{sed},{tfidf}", "--cnrec", str(root),
+               "--expect-pairs", "0", *ensemble])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
 
 
 @pytest.mark.parametrize("fault, column, value", [

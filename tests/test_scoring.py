@@ -3,10 +3,7 @@ import gc
 import hashlib
 import logging
 import math
-import multiprocessing
-import os
 import random
-import time
 import tracemalloc
 
 import numpy as np
@@ -540,46 +537,18 @@ def test_score_sed_pipeline_runs(mini_world):
     assert col["p1"].raw_distance < col["p2"].raw_distance
 
 
-def test_score_sed_jobs_do_not_change_results(mini_world):
-    g, articles, annotations, pairs = mini_world
-    cfg = ScoringConfig()
-    t1 = score_sed(g, articles, pairs, annotations, cfg, jobs=1)
-    t2 = score_sed(g, articles, pairs, annotations, cfg, jobs=3)
-    assert [(r.pair_id, r.raw_distance, r.z_score) for r in t1.rows] == \
-        [(r.pair_id, r.raw_distance, r.z_score) for r in t2.rows]
-
-
-def test_score_sed_serial_fallback_is_logged(mini_world, monkeypatch, caplog):
+def test_score_sed_serial_fallback_is_logged(mini_world, caplog):
+    """``jobs`` other than 1 is ignored with one warning: rows equal ``jobs=1``."""
     g, articles, annotations, pairs = mini_world
     cfg = ScoringConfig()
     serial = score_sed(g, articles, pairs, annotations, cfg, jobs=1)
-    monkeypatch.setattr(multiprocessing, "get_start_method",
-                        lambda allow_none=False: "spawn")
-    with caplog.at_level(logging.WARNING, logger="sedrec.scoring"):
-        fallback = score_sed(g, articles, pairs, annotations, cfg, jobs=2)
-    assert any(r.levelno == logging.WARNING and "serially" in r.getMessage()
-               for r in caplog.records)
-    assert fallback.rows == serial.rows
-
-
-@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                    reason="the pair pass runs in workers only under fork")
-def test_score_sed_jobs_split_small_pair_lists(mini_world, monkeypatch, tmp_path):
-    g, articles, annotations, pairs = mini_world
-    pids = tmp_path / "pids"
-    real = scoring._chunk_matrices
-
-    def recording(*args, **kwargs):
-        time.sleep(0.05)  # hold the chunk so an idle worker takes the next one
-        with open(pids, "a") as fh:
-            fh.write(f"{os.getpid()}\n")
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(scoring, "_chunk_matrices", recording)
-    eight = [(f"q{i}", *pairs[i % 3][1:]) for i in range(8)]
-    score_sed(g, articles, eight, annotations, ScoringConfig(), jobs=2)
-    workers = set(pids.read_text().split())
-    assert len(workers) > 1 and str(os.getpid()) not in workers
+    for jobs in (2, 3):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="sedrec.scoring"):
+            table = score_sed(g, articles, pairs, annotations, cfg, jobs=jobs)
+        assert [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING] == \
+            [f"jobs={jobs} is ignored; the pair pass runs in this process"]
+        assert table.rows == serial.rows
 
 
 @pytest.mark.parametrize("scheme", [WeightingScheme.RWS, WeightingScheme.JOINT_IC])
@@ -691,10 +660,11 @@ def test_batched_pass_one_equals_full_dijkstra_oracle(scheme, radius):
 
 @pytest.mark.parametrize("scheme", [WeightingScheme.RWS, WeightingScheme.AF_IAF])
 def test_pass_one_is_unchanged_by_small_batches(monkeypatch, scheme):
+    """Batches capped at the graph's 24 edges hold one pair, or two when a
+    union is empty; batches of 100 union edges hold several pairs each."""
     g, articles, annotations, pairs, _ = random_pass_world(5, n_articles=8)
     cfg = pass_config(scheme, 2)
     whole = pass_one(g, articles, pairs, annotations, cfg)
-    batches = []
     real = scoring._core_batch
 
     def counting(g, costs, members, *args):
@@ -702,9 +672,12 @@ def test_pass_one_is_unchanged_by_small_batches(monkeypatch, scheme):
         return real(g, costs, members, *args)
 
     monkeypatch.setattr(scoring, "_core_batch", counting)
-    monkeypatch.setattr(scoring, "_BATCH_EDGES", 1)
-    assert pass_one(g, articles, pairs, annotations, cfg) == whole
-    assert len(batches) > 1 and sum(batches) == len(pairs)
+    for batch_edges, most in ((1, 2), (100, 4)):
+        batches = []
+        monkeypatch.setattr(scoring, "_BATCH_EDGES", batch_edges)
+        assert pass_one(g, articles, pairs, annotations, cfg) == whole
+        assert len(batches) > 1 and sum(batches) == len(pairs)
+        assert max(batches) == most, (batch_edges, batches)
 
 
 @pytest.mark.parametrize("chunk", [1, 24, 96, 2 ** 14, 2 ** 30])
@@ -717,23 +690,42 @@ def test_pass_one_is_unchanged_by_small_chunks(monkeypatch, scheme, chunk):
     assert pass_one(g, articles, pairs, annotations, cfg) == whole
 
 
-def test_chunk_cuts_split_rows_in_order(monkeypatch):
+def test_chunk_cuts_split_rows_in_order():
     """Each chunk takes rows in order from where the last one ended, as many
-    as fit in ``_CHUNK``; only a chunk of one row may exceed it."""
+    as fit in ``cap``; only a chunk of one row may exceed it."""
     rng = random.Random(4)
-    for chunk in (1, 7, 24, 2 ** 14):
-        monkeypatch.setattr(scoring, "_CHUNK", chunk)
+    for cap in (1, 7, 24, 2 ** 14):
         for _ in range(60):
-            widths = [rng.choice([1, 2, 5, 9, 30, chunk, chunk + 1, 3 * chunk])
+            widths = [rng.choice([1, 2, 5, 9, 30, cap, cap + 1, 3 * cap])
                       for _ in range(rng.randint(0, 40))]
-            bounds = scoring._cuts(np.array(widths, dtype=np.int64))
+            bounds = scoring._cuts(np.array(widths, dtype=np.int64), cap)
             assert bounds[0] == 0 and bounds[-1] == len(widths)
             for a, b in zip(bounds, bounds[1:]):
                 assert a < b
                 size = sum(widths[a:b])
-                assert size <= chunk or b == a + 1, (chunk, widths, bounds)
+                assert size <= cap or b == a + 1, (cap, widths, bounds)
                 if b < len(widths):
-                    assert size + widths[b] > chunk, (chunk, widths, bounds)
+                    assert size + widths[b] > cap, (cap, widths, bounds)
+
+
+def batch_loop(grows, cap):
+    """The bounds of the pair batches that ``_chunk_matrices`` formed with a
+    Python loop before it called ``_cuts``."""
+    batches, size = [], 0
+    for i, grow in enumerate(grows):
+        if not batches or size + grow > cap:
+            batches.append([])
+            size = 0
+        batches[-1].append(i)
+        size += grow
+    return [0] + [batch[-1] + 1 for batch in batches]
+
+
+@given(st.lists(st.integers(0, 60), max_size=40), st.integers(1, 40))
+@settings(max_examples=300, deadline=None)
+def test_cuts_equal_the_batch_loop(widths, cap):
+    """Zero widths and widths above ``cap`` included."""
+    assert scoring._cuts(np.array(widths, dtype=np.int64), cap) == batch_loop(widths, cap)
 
 
 class CountingCosts(EdgeCosts):

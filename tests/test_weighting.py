@@ -8,8 +8,8 @@ from sedrec.kg import KnowledgeGraph
 from sedrec.weighting import (
     EdgeCosts,
     WeightingScheme,
+    _frequency,
     frequency_costs,
-    frequency_scores,
     joint_ic_costs,
     rws_cost,
 )
@@ -17,6 +17,11 @@ from sedrec.weighting import (
 from helpers import graph_from_edges
 
 from oracles import frequency_loop, joint_ic_loop, overlap_cost
+
+
+def by_predicate(g, scheme):
+    """``_frequency``'s scores keyed by predicate name; none without edges."""
+    return dict(zip(g.predicates, _frequency(g, scheme))) if g.num_edges else {}
 
 
 def neighbor_sets(g):
@@ -69,7 +74,7 @@ def test_af_two_predicates_counts_10_and_5():
     edges = [(f"a{i}", f"b{i}", "p1") for i in range(10)]
     edges += [(f"c{i}", f"d{i}", "p2") for i in range(5)]
     g = graph_from_edges(edges)
-    scores = frequency_scores(g, WeightingScheme.AF)
+    scores = by_predicate(g, WeightingScheme.AF)
     assert scores == {"p1": 1.0, "p2": 0.5}
     costs = frequency_costs(g, WeightingScheme.AF)
     by_pred = {g.edge_predicates[e][0]: c for e, c in enumerate(costs)}
@@ -95,9 +100,9 @@ def test_af_iaf_is_product_of_normalized_scores():
     edges = [(f"a{i}", f"b{i}", "p1") for i in range(4)]
     edges += [("x", "y", "p2")]
     g = graph_from_edges(edges)
-    af = frequency_scores(g, WeightingScheme.AF)
-    iaf = frequency_scores(g, WeightingScheme.IAF)
-    both = frequency_scores(g, WeightingScheme.AF_IAF)
+    af = by_predicate(g, WeightingScheme.AF)
+    iaf = by_predicate(g, WeightingScheme.IAF)
+    both = by_predicate(g, WeightingScheme.AF_IAF)
     assert both == {p: af[p] * iaf[p] for p in af}
 
 
@@ -275,7 +280,7 @@ def test_joint_ic_costs_equal_loop_oracle(g):
 @settings(max_examples=80)
 def test_frequency_tables_equal_loop_oracle(g, scheme):
     scores, costs = frequency_loop(g, scheme.value)
-    assert frequency_scores(g, scheme) == scores
+    assert by_predicate(g, scheme) == scores
     got = frequency_costs(g, scheme)
     assert got == costs
     assert all(type(c) is float for c in got)
