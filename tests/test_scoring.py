@@ -537,6 +537,15 @@ def test_score_sed_pipeline_runs(mini_world):
     assert col["p1"].raw_distance < col["p2"].raw_distance
 
 
+def test_score_sed_jobs_do_not_change_results(mini_world):
+    g, articles, annotations, pairs = mini_world
+    cfg = ScoringConfig()
+    t1 = score_sed(g, articles, pairs, annotations, cfg, jobs=1)
+    t2 = score_sed(g, articles, pairs, annotations, cfg, jobs=3)
+    assert [(r.pair_id, r.raw_distance, r.z_score) for r in t1.rows] == \
+        [(r.pair_id, r.raw_distance, r.z_score) for r in t2.rows]
+
+
 def test_score_sed_serial_fallback_is_logged(mini_world, caplog):
     """``jobs`` other than 1 is ignored with one warning: rows equal ``jobs=1``."""
     g, articles, annotations, pairs = mini_world
