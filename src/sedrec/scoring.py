@@ -18,11 +18,12 @@ expands every article at once. The pairs go in batches of at most
 and ``_core_batch`` builds the core graphs of a batch in one numpy pass:
 union edges keyed ``pair * E + edge``, node slots keyed ``pair * n + node``,
 the members of union degree <= 1 that are not pinned seeds removed by
-``kg.peel``, local ids in sorted member order, rows grouped by destination
-from ``kg._csr``, and one ``cost()`` per distinct directed edge of a batch,
-shared by every pair whose core holds it. ``_relax`` finds the distances
-from every pinned seed, one search row per pair and seed, by sweeps over flat
-arrays, at most ``_CHUNK`` core entries and slots of search rows at a time.
+``kg.peel``, slots numbered pair by pair in sorted member order, rows
+grouped by slot from ``kg._csr``, and one ``cost()`` per distinct directed
+edge of a batch, shared by every pair whose core holds it. ``_relax`` finds
+the distances from every pinned seed, one search row per pair and seed, by
+pushes from the slots that improved, over flat arrays, at most ``_CHUNK``
+core entries and slots of search rows at a time.
 One rule, ``_cuts``, cuts both the batches and the chunks from a cumulative
 sum. ``_cells`` lays the distances out as each pair's flat forward and
 backward matrices (``Matrices``). ``pair_matrices``, ``distance_matrix``,
@@ -31,13 +32,16 @@ union.
 
 This is exact. A non-seed member of degree <= 1 lies inside no path between
 two seeds, and relaxing back from it gives ``d + c >= d`` in floating point,
-so it never lowers a distance. Costs are >= 0 and ``fl(d + c)`` is monotone
-in ``d``, so the sweeps, started at 0 on the source and infinity elsewhere,
-stop at the least fixed point ``D[b] = min(D[b], min_a fl(D[a] + c(a, b)))``:
-at every node, the least left-to-right float sum over the paths that reach
-it. Dijkstra returns that same value at every settled target, ties and
-zero-cost edges included, so the sweeps give the early-stopping Dijkstra's
-distances bit for bit. Chunks split the set of search rows, never a row, so
+so it never lowers a distance. Let ``L[y]`` be the least left-to-right float
+sum of costs over the paths from the source to ``y``; Dijkstra returns it at
+every settled target, ties and zero-cost edges included. For any order of
+pushes: each value written is ``fl(D[x] + c(x, y))`` of a value that is
+itself a path sum (the source starts at 0), so ``D[y]`` is the float sum of
+some path and never below ``L[y]``. The loop ends only after each slot that
+improved has pushed to all its neighbours, so then every edge has ``D[y] <=
+fl(D[x] + c(x, y))``. ``fl(d + c)`` is monotone in ``d``, so by induction
+along any path ``D`` is at most the path's sum at each node: ``D <= L``, and
+``D == L`` bit for bit. Chunks split the set of search rows, never a row, so
 they cannot change a value. A cost depends only on its ``(source, target,
 edge)`` arguments, which the distinct key ``edge * 2 + direction`` fixes, so
 sharing one ``cost()`` across the pairs of a batch cannot change one either.
@@ -106,11 +110,12 @@ _BATCH_EDGES = 2 ** 16
 
 # A chunk of search rows relaxes at most this many core entries and slots at
 # once, or one search row's when that is more, so the relaxation's arrays stay
-# small whatever the batch. A chunk sweeps until its slowest row converges, so
-# large chunks pay for their deepest row and small ones for numpy's fixed cost
-# per call. 2^14 was the fastest of 2^12 to 2^18 on the grid pass ones, where
-# each of a chunk's float64 arrays takes at most 128 kB.
-_CHUNK = 2 ** 14
+# small whatever the batch. A chunk runs rounds until its slowest row
+# converges, but a round pushes only from the slots that improved, so a larger
+# chunk costs few extra entries and saves numpy's fixed cost per call. 2^16
+# was the fastest of 2^12 to 2^18 on the grid pass ones, and hub's were flat
+# from 2^15 up; a chunk's ``dist`` and ``lift`` take at most 512 kB each.
+_CHUNK = 2 ** 16
 
 
 def _core_batch(g: KnowledgeGraph, costs: EdgeCosts, members: Sequence[Sequence[np.ndarray]],
@@ -119,13 +124,14 @@ def _core_batch(g: KnowledgeGraph, costs: EdgeCosts, members: Sequence[Sequence[
 
     Union ``p`` is the union of the arrays ``members[p]`` and ``edges[p]``;
     ``pins`` holds the keys ``p * len(g) + node`` of its pinned members, sorted
-    and distinct. Returns the directed core entries grouped by destination
-    slot, then sorted by neighbour: each entry's neighbour local id and the
-    cost of stepping from that neighbour to the destination, from one
-    ``costs.cost()`` per distinct directed edge of the batch, however many
-    pairs share it; each slot's first entry ``row``, one past the last slot's;
-    each pair's first slot ``first``, one past the last pair's; and each pin's
-    local id.
+    and distinct. Slots are numbered pair by pair in sorted member order.
+    Returns the directed core entries grouped by slot, then sorted by
+    neighbour: each entry's neighbour slot and its out-cost, the cost of the
+    step from the slot to that neighbour; each slot's first entry ``row``, one
+    past the last slot's; each pair's first slot ``first``, one past the last
+    pair's; and each pin's local id, its slot less its pair's first. One
+    ``costs.cost()`` per distinct directed edge of the batch serves every pair
+    that shares it.
     """
     n, m = len(g), max(g.num_edges, 1)
 
@@ -146,20 +152,21 @@ def _core_batch(g: KnowledgeGraph, costs: EdgeCosts, members: Sequence[Sequence[
     del slots, keep
     first = np.searchsorted(kept, np.arange(len(members) + 1) * n)
     node = kept % n
-    local = np.arange(len(kept)) - first[kept // n]
+    pins = rank[pins]
+    pin_local = pins - first[kept[pins] // n]
     del kept
     # the edges are canonical on ranks, so rows come out sorted by neighbour
     su, sv = rank[su], rank[sv]
-    row, target, at = _csr(su, sv, len(node))
+    del rank
+    row, near, at = _csr(su, sv, len(node))
     del su, sv
-    near, pin_local = local[target], local[rank[pins]]
-    del local, rank
-    # Pairs share edges, so each distinct directed edge gets one cost(): keyed
-    # edge * 2 + 1 when the step runs from the edge's higher end to its lower.
-    # Only the inverse index and the distinct (source, target, edge) columns
-    # are held while cost() runs, since RWS's neighbourhood memo peaks there.
-    key = edge[at] * 2 + (node[target] > np.repeat(node, np.diff(row)))
-    del at, target, edge, node
+    # Pairs share edges, so each distinct directed edge gets one cost(): an
+    # entry's out-step, from its slot to its neighbour, is keyed edge * 2 + 1
+    # when it runs from the edge's higher end to its lower. Only the inverse
+    # index and the distinct (source, target, edge) columns are held while
+    # cost() runs, since RWS's neighbourhood memo peaks there.
+    key = edge[at] * 2 + (np.repeat(node, np.diff(row)) > node[near])
+    del at, edge, node
     keys = distinct(key)
     inverse = np.searchsorted(keys, key)
     del key
@@ -185,44 +192,48 @@ def _cuts(width: np.ndarray, cap: int) -> list[int]:
     return bounds
 
 
-def _relax(local: np.ndarray, into: np.ndarray, row: np.ndarray, first: np.ndarray,
+def _relax(near: np.ndarray, out: np.ndarray, row: np.ndarray, first: np.ndarray,
            pin_local: np.ndarray, pin_pair: np.ndarray, pin_first: np.ndarray) -> np.ndarray:
     """Shortest distances from every pin to each pin of its pair, over the
     ``_core_batch`` arrays: pin ``r`` of pair ``p`` gives ``pin_first[p + 1] -
     pin_first[p]`` values in pin order, and pins follow each other.
 
     A search row is one pin's distances over its pair's core slots. The search
-    rows of a chunk share one flat ``dist``, and each sweep sets every slot to
-    the least of its value and ``dist[neighbour] + cost`` over its entries
-    (``np.minimum.reduceat``), until no slot improves.
+    rows of a chunk share one flat ``dist``, where a slot sits at its row's
+    ``base`` plus its local id. Each round pushes from the frontier, the slots
+    that improved in the round before (at first, the pins): it gathers their
+    entries from the core arrays, offers each neighbour ``dist[slot] + out``,
+    lowers every neighbour to the least offer below its value
+    (``np.minimum.at``), and makes the neighbours it lowered the next
+    frontier, until none is lowered.
     """
     slots, entries = np.diff(first), np.diff(row[first])
-    degrees, pins = np.diff(row), np.diff(pin_first)
+    pins = np.diff(pin_first)
     bounds = _cuts((slots + entries)[pin_pair], _CHUNK)
-    out = [np.zeros(0)]
+    found = [np.zeros(0)]
     for a, b in zip(bounds, bounds[1:]):
         p = pin_pair[a:b]
-        k, e = slots[p], entries[p]
+        k = slots[p]
         base = np.cumsum(k) - k
-        slot = ranges(first[p], k)
-        entry = ranges(row[first[p]], e)
-        source = local[entry] + np.repeat(base, e)
-        cost = into[entry]
-        del entry
-        degree = degrees[slot]
-        dest = np.flatnonzero(degree)
-        start = (np.cumsum(degree) - degree)[dest]
-        dist = np.full(len(slot), DISCONNECTED)
-        dist[base + pin_local[a:b]] = 0.0
-        while len(start):
-            best = np.minimum.reduceat(dist[source] + cost, start)
-            better = best < dist[dest]
-            if not better.any():
-                break
-            dist[dest[better]] = best[better]
+        # a flat index plus its row's lift is the slot's number in the batch
+        lift = np.repeat(first[p] - base, k)
+        dist = np.full(len(lift), DISCONNECTED)
+        front = base + pin_local[a:b]
+        dist[front] = 0.0
+        while len(front):
+            shift = lift[front]
+            at = front + shift
+            degree = row[at + 1] - row[at]
+            entry = ranges(row[at], degree)
+            to = near[entry] - np.repeat(shift, degree)
+            offer = np.repeat(dist[front], degree) + out[entry]
+            better = offer < dist[to]
+            to = to[better]
+            np.minimum.at(dist, to, offer[better])
+            front = distinct(to)
         count = pins[p]
-        out.append(dist[np.repeat(base, count) + pin_local[ranges(pin_first[p], count)]])
-    return np.concatenate(out)
+        found.append(dist[np.repeat(base, count) + pin_local[ranges(pin_first[p], count)]])
+    return np.concatenate(found)
 
 
 def _cells(dist: np.ndarray, at: np.ndarray, pin_first: np.ndarray, a: np.ndarray,

@@ -209,7 +209,7 @@ INF = math.inf
 
 
 def test_relaxation_hand_cases():
-    """Tied 2-hop paths, a 6-hop path (seven sweeps), a second component, an
+    """Tied 2-hop paths, a 6-hop path (seven rounds), a second component, an
     unresolved seed, a self pair and an empty union."""
     g = graph_from_edges([("a", "b"), ("a", "c"), ("b", "d"), ("c", "d"), ("d", "e1"),
                           ("e1", "e2"), ("e2", "e3"), ("e3", "e4"), ("z1", "z2")])
@@ -250,6 +250,72 @@ def test_relaxation_is_exact_on_tied_weighted_paths():
         costs = EdgeCosts(g, scheme)
         s1, s2 = ["r0", "r2"], ["r4", "r6", "h"]
         assert pair_matrices(u, costs, s1, s2) == oracle_matrices(u, costs, s1, s2), scheme
+
+
+def test_relaxation_spreads_a_later_improvement():
+    """t is first reached over the costly 1-hop edge s-t, and later lowered
+    over the cheaper 3-hop path s-a-b-t; the lower value must then spread on
+    to u and v. Under AF the rare predicate x makes s-t costly; under IAF the
+    common predicate p makes s2-t2 costly, in the second component."""
+    g = graph_from_edges([("s", "t", "x"), ("s", "a", "p"), ("a", "b", "p"), ("b", "t", "p"),
+                          ("t", "u", "p"), ("u", "v", "p"),
+                          ("s2", "t2", "p"), ("s2", "a2", "y"), ("a2", "b2", "z"),
+                          ("b2", "t2", "w"), ("t2", "u2", "p"), ("u2", "v2", "p")])
+    u = full_subgraph(g)
+
+    def cost(costs, *names):
+        ids = [g.node_index(x) for x in names]
+        return sum(costs.cost(x, y, g.edge_between(x, y)) for x, y in zip(ids, ids[1:]))
+
+    for scheme, end in ((WeightingScheme.AF, ""), (WeightingScheme.IAF, "2")):
+        s, a, b, t = (x + end for x in "sabt")
+        costs = EdgeCosts(g, scheme)
+        assert cost(costs, s, t) > cost(costs, s, a, b, t), scheme
+    s1, s2 = ["s", "s2"], ["v", "t", "v2", "t2"]
+    for scheme in WeightingScheme:
+        costs = EdgeCosts(g, scheme)
+        assert pair_matrices(u, costs, s1, s2) == oracle_matrices(u, costs, s1, s2), scheme
+
+
+@pytest.mark.parametrize("scheme", [WeightingScheme.RWS, WeightingScheme.JOINT_IC])
+def test_core_entries_carry_out_costs(scheme):
+    """Each pair's slots are its core members in order, its entries are its
+    core's directed steps, and each entry holds the cost of the step from its
+    slot to its neighbour; on random canonical graphs, in batches with an
+    empty union."""
+    rng = random.Random(7)
+    names = [f"n{i:02d}" for i in range(16)]
+    possible = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
+    for _ in range(20):
+        g = graph_from_edges([(a, b, rng.choice("pqr"))
+                              for a, b in rng.sample(possible, rng.randint(10, 40))])
+        costs = EdgeCosts(g, scheme)
+        nothing = SubGraph(g, frozenset(), frozenset(), frozenset())
+        unions = [nothing] + [union(*(expand(g, set(rng.sample(g.ids, rng.randint(1, 2))),
+                                             ExpansionConfig(rng.choice([1, 2])))
+                                      for _ in range(2)))
+                              for _ in range(3)]
+        rng.shuffle(unions)
+        members = [(np.array(sorted(u.members), dtype=np.int64),) for u in unions]
+        edges = [(np.array(sorted(u.edges), dtype=np.int64),) for u in unions]
+        keys = np.array(sorted(p * len(g) + x for p, u in enumerate(unions) for x in u.seeds),
+                        dtype=np.int64)
+        near, out, row, first, _ = scoring._core_batch(g, costs, members, edges, keys)
+        node, want, bounds = [], [], [0]
+        for u in unions:
+            core = core_steps(g, u, u.seeds)
+            node += sorted(u.seeds | {x for step in core for x in step})
+            want.append(core)
+            bounds.append(len(node))
+        assert first.tolist() == bounds and len(row) == len(node) + 1
+        slot = np.repeat(np.arange(len(node)), np.diff(row))
+        got = [set() for _ in unions]
+        for x, y, c in zip(slot.tolist(), near.tolist(), out.tolist()):
+            a, b = node[x], node[y]
+            assert c == costs.cost(a, b, g.edge_between(a, b)), (scheme, a, b)
+            got[int(np.searchsorted(first, x, "right")) - 1].add((a, b))
+        assert got == want
+        assert len(near) == sum(map(len, want))
 
 
 # ------------------------------------------------------------ sed variants
@@ -840,12 +906,12 @@ def test_aggregate_sums_left_to_right():
 
 
 def test_pass_one_memory_per_union_edge():
-    """Pass one's tracemalloc peak, per union edge, on a 2-hop graph: 87
-    bytes measured here. The peak is the relaxation's chunk arrays at 16,384
-    entries a chunk; with 4,096 it read 82, set by one batch of core-graph
-    arrays over all 27 pairs inside ``kg.peel``. The one-``cost()``-per-edge
-    columns peak below both, and a per-pair dict core measured 69, held one
-    union at a time."""
+    """Pass one's tracemalloc peak, per union edge, on a 2-hop graph: 82.4
+    bytes measured here, set by one batch of core-graph arrays over all 27
+    pairs inside ``kg.peel``. The push relaxation peaks below it at 61.6, with
+    65,536 entries a chunk; the sweeps it replaced read 86.9 at 16,384. The
+    one-``cost()``-per-edge columns peak below both, and a per-pair dict core
+    measured 69, held one union at a time."""
     rng = random.Random(3)
     n, m = 2000, 10000
     edges = set()
