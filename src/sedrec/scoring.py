@@ -19,8 +19,9 @@ and ``_core_batch`` builds the core graphs of a batch in one numpy pass:
 union edges keyed ``pair * E + edge``, node slots keyed ``pair * n + node``,
 the members of union degree <= 1 that are not pinned seeds removed by
 ``kg.peel``, slots numbered pair by pair in sorted member order, rows
-grouped by slot from ``kg._csr``, and one ``cost()`` per distinct directed
-edge of a batch, shared by every pair whose core holds it. ``_relax`` finds
+grouped by slot from ``kg._csr``, and one ``EdgeCosts.gather`` per batch
+over its distinct directed edges, each cost shared by every pair whose core
+holds the edge. ``_relax`` finds
 the distances from every pinned seed, one search row per pair and seed, by
 pushes from the slots that improved, over flat arrays, at most ``_CHUNK``
 core entries and slots of search rows at a time.
@@ -28,7 +29,7 @@ One rule, ``_cuts``, cuts both the batches and the chunks from a cumulative
 sum. ``_cells`` lays the distances out as each pair's flat forward and
 backward matrices (``Matrices``). ``pair_matrices``, ``distance_matrix``,
 ``node_pair_distance`` and ``sed_variant`` are the same code on a batch of one
-union.
+union, priced by the scalar ``cost()`` of any costs object.
 
 This is exact. A non-seed member of degree <= 1 lies inside no path between
 two seeds, and relaxing back from it gives ``d + c >= d`` in floating point,
@@ -44,7 +45,7 @@ along any path ``D`` is at most the path's sum at each node: ``D <= L``, and
 ``D == L`` bit for bit. Chunks split the set of search rows, never a row, so
 they cannot change a value. A cost depends only on its ``(source, target,
 edge)`` arguments, which the distinct key ``edge * 2 + direction`` fixes, so
-sharing one ``cost()`` across the pairs of a batch cannot change one either.
+sharing one priced edge across the pairs of a batch cannot change one either.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -118,7 +119,11 @@ _BATCH_EDGES = 2 ** 16
 _CHUNK = 2 ** 16
 
 
-def _core_batch(g: KnowledgeGraph, costs: EdgeCosts, members: Sequence[Sequence[np.ndarray]],
+# Prices directed edges: (source, target, edge) arrays -> float64 costs.
+Price = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+
+
+def _core_batch(g: KnowledgeGraph, price: Price, members: Sequence[Sequence[np.ndarray]],
                 edges: Sequence[Sequence[np.ndarray]], pins: np.ndarray):
     """Core graphs of a batch of unions, in arrays.
 
@@ -130,8 +135,8 @@ def _core_batch(g: KnowledgeGraph, costs: EdgeCosts, members: Sequence[Sequence[
     step from the slot to that neighbour; each slot's first entry ``row``, one
     past the last slot's; each pair's first slot ``first``, one past the last
     pair's; and each pin's local id, its slot less its pair's first. One
-    ``costs.cost()`` per distinct directed edge of the batch serves every pair
-    that shares it.
+    ``price`` call gathers the costs of the batch's distinct directed edges,
+    each priced once for every pair that shares it.
     """
     n, m = len(g), max(g.num_edges, 1)
 
@@ -160,11 +165,11 @@ def _core_batch(g: KnowledgeGraph, costs: EdgeCosts, members: Sequence[Sequence[
     del rank
     row, near, at = _csr(su, sv, len(node))
     del su, sv
-    # Pairs share edges, so each distinct directed edge gets one cost(): an
+    # Pairs share edges, so each distinct directed edge is priced once: an
     # entry's out-step, from its slot to its neighbour, is keyed edge * 2 + 1
     # when it runs from the edge's higher end to its lower. Only the inverse
     # index and the distinct (source, target, edge) columns are held while
-    # cost() runs, since RWS's neighbourhood memo peaks there.
+    # price runs, so its own temporaries do not stack on the entry arrays.
     key = edge[at] * 2 + (np.repeat(node, np.diff(row)) > node[near])
     del at, edge, node
     keys = distinct(key)
@@ -175,9 +180,7 @@ def _core_batch(g: KnowledgeGraph, costs: EdgeCosts, members: Sequence[Sequence[
     source = np.where(down, g.edge_v[edge], g.edge_u[edge])
     dest = np.where(down, g.edge_u[edge], g.edge_v[edge])
     del down
-    cost = np.fromiter(map(costs.cost, memoryview(source), memoryview(dest), memoryview(edge)),
-                       np.float64, len(edge))
-    return near, cost[inverse], row, first, pin_local
+    return near, price(source, dest, edge)[inverse], row, first, pin_local
 
 
 def _cuts(width: np.ndarray, cap: int) -> list[int]:
@@ -287,7 +290,7 @@ class Matrices:
                 self.backward[at:at + r * c].reshape(c, r).tolist())
 
 
-def _batch_matrices(g: KnowledgeGraph, costs: EdgeCosts, members, edges,
+def _batch_matrices(g: KnowledgeGraph, price: Price, members, edges,
                     queries: Sequence[tuple[np.ndarray, np.ndarray]]) -> Matrices:
     """Forward and backward matrices of each union between its two seed
     arrays ``queries[p]`` (node ids, -1 for a seed outside the union), over
@@ -303,7 +306,7 @@ def _batch_matrices(g: KnowledgeGraph, costs: EdgeCosts, members, edges,
     pins = distinct(np.concatenate([k1[k1 >= 0], k2[k2 >= 0]]))
     pin_pair = pins // n
     pin_first = np.searchsorted(pin_pair, np.arange(len(queries) + 1))
-    dist = _relax(*_core_batch(g, costs, members, edges, pins), pin_pair, pin_first)
+    dist = _relax(*_core_batch(g, price, members, edges, pins), pin_pair, pin_first)
     count = np.diff(pin_first)[pin_pair]
     at = np.cumsum(count) - count
     i1, i2 = (np.where(k < 0, -1, np.searchsorted(pins, k)) for k in (k1, k2))
@@ -321,9 +324,14 @@ def _union_nodes(u: SubGraph, ids: Sequence[str]) -> np.ndarray:
     return np.array([m if m in u.members else -1 for m in nodes], dtype=np.int64)
 
 
-def _union_matrices(u: SubGraph, costs: EdgeCosts, n1: np.ndarray, n2: np.ndarray) -> Matrices:
-    """``_batch_matrices`` of one union."""
-    return _batch_matrices(u.parent, costs, [(_array(u.members),)], [(_array(u.edges),)],
+def _union_matrices(u: SubGraph, costs, n1: np.ndarray, n2: np.ndarray) -> Matrices:
+    """``_batch_matrices`` of one union, priced by one scalar ``costs.cost()``
+    per distinct directed edge: any object with that method will do."""
+    def price(source, target, edge):
+        return np.fromiter(map(costs.cost, memoryview(source), memoryview(target),
+                               memoryview(edge)), np.float64, len(edge))
+
+    return _batch_matrices(u.parent, price, [(_array(u.members),)], [(_array(u.edges),)],
                            [(n1, n2)])
 
 
@@ -575,7 +583,7 @@ def compute_seed_sets(articles: Mapping[str, Article],
     return out
 
 
-def _chunk_matrices(pairs: Sequence[Pair], graph: KnowledgeGraph, costs: EdgeCosts,
+def _chunk_matrices(pairs: Sequence[Pair], graph: KnowledgeGraph, price: Price,
                     members: Mapping[str, np.ndarray], edges: Mapping[str, np.ndarray],
                     nodes: Mapping[str, np.ndarray]) -> Matrices:
     """The matrices of ``pairs``, in batches cut by ``_cuts`` at
@@ -585,7 +593,7 @@ def _chunk_matrices(pairs: Sequence[Pair], graph: KnowledgeGraph, costs: EdgeCos
                    max(graph.num_edges, _BATCH_EDGES))
     batches = [pairs[i:j] for i, j in zip(bounds, bounds[1:])]
     return Matrices.concat([_batch_matrices(
-        graph, costs, [(members[a], members[b]) for _, a, b in batch],
+        graph, price, [(members[a], members[b]) for _, a, b in batch],
         [(edges[a], edges[b]) for _, a, b in batch],
         [(nodes[a], nodes[b]) for _, a, b in batch]) for batch in batches])
 
@@ -633,7 +641,7 @@ def pass_one(kg: KnowledgeGraph, articles: Mapping[str, Article],
                          dtype=np.int64) for a in aids}
     members, edges = expand_many(kg, [nodes[a][nodes[a] >= 0] for a in aids],
                                  cfg.expansion.radius)
-    matrices = _chunk_matrices(pairs, kg, EdgeCosts(kg, cfg.weighting),
+    matrices = _chunk_matrices(pairs, kg, EdgeCosts(kg, cfg.weighting).gather,
                                dict(zip(aids, members)), dict(zip(aids, edges)), nodes)
 
     max_finite = max(float(np.max(x[np.isfinite(x)], initial=0.0))

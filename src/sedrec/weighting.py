@@ -14,7 +14,8 @@ from enum import Enum
 
 import numpy as np
 
-from .kg import KnowledgeGraph, distinct
+from .kg import KnowledgeGraph, _run_starts, distinct
+from .subgraph import ranges
 
 
 class WeightingScheme(Enum):
@@ -69,21 +70,21 @@ def _frequency(g: KnowledgeGraph, scheme: WeightingScheme) -> list[float]:
     return af if scheme is WeightingScheme.AF else iaf
 
 
-def frequency_costs(g: KnowledgeGraph, scheme: WeightingScheme) -> tuple[float, ...]:
-    """Symmetric per-edge costs under a frequency scheme.
+def frequency_costs(g: KnowledgeGraph, scheme: WeightingScheme) -> np.ndarray:
+    """Symmetric per-edge costs under a frequency scheme, as float64 by edge.
 
     An edge costs one minus the best (highest) score among its collapsed
     predicates, so favored predicates make cheap edges.
     """
     if not g.num_edges:
-        return ()
+        return np.zeros(0)
     best = np.maximum.reduceat(np.array(_frequency(g, scheme))[g.pred_ids],
                                g.pred_ptr[:-1])
-    return tuple((1.0 - best).tolist())
+    return 1.0 - best
 
 
-def joint_ic_costs(g: KnowledgeGraph) -> tuple[float, ...]:
-    """Symmetric per-edge costs from joint information content.
+def joint_ic_costs(g: KnowledgeGraph) -> np.ndarray:
+    """Symmetric per-edge costs from joint information content, as float64 by edge.
 
     For each orientation (u, p, v) of an edge, the joint IC is the predicate's
     self-information plus the object's conditional self-information given the
@@ -92,41 +93,56 @@ def joint_ic_costs(g: KnowledgeGraph) -> tuple[float, ...]:
     edge IC, so the globally most informative edge costs 0 and the least
     informative costs 1.
 
-    Incidence counts come from numpy; the logs are taken with ``math.log``
-    once per distinct (predicate, object degree), so every cost is the float
-    the per-orientation definition gives.
+    One argsort groups the incidences into (predicate, node) slots and counts
+    each slot; the logs are taken with ``math.log`` once per distinct
+    (predicate, slot count), so every cost is the float the per-orientation
+    definition gives.
     """
     if not g.num_edges:
-        return ()
+        return np.zeros(0)
     counts = np.bincount(g.pred_ids).tolist()
     total = sum(counts)
-    # (predicate, node) incidence counts, then each orientation's object degree
-    _, slot = np.unique(_incidence(g), return_inverse=True)
-    degree = np.bincount(slot)[slot]
+    incidence = _incidence(g)
+    order = np.argsort(incidence)
+    start = _run_starts(incidence[order])
+    # each (predicate, node) slot's predicate and count, and each incidence's slot
+    head = np.flatnonzero(start)
+    pred = incidence[order[head]] // len(g)
+    degree = np.diff(np.append(head, len(incidence)))
+    slot = np.empty_like(order)
+    slot[order] = np.cumsum(start) - 1
+    del incidence, order, start, head
     span = int(degree.max()) + 1
-    keys, which = np.unique(np.concatenate([g.pred_ids, g.pred_ids]) * span + degree,
-                            return_inverse=True)
+    key = pred * span + degree
+    keys = distinct(key)
     ic = np.array([(-math.log(counts[p] / total)) + (-math.log(d / (2 * counts[p])))
                    for p, d in zip((keys // span).tolist(), (keys % span).tolist())])
-    best = np.maximum(ic[which[:len(g.pred_ids)]], ic[which[len(g.pred_ids):]])
-    ics = np.maximum.reduceat(best, g.pred_ptr[:-1])
+    # incidences run all u, then all v
+    best = ic[np.searchsorted(keys, key)][slot]
+    half = len(g.pred_ids)
+    ics = np.maximum.reduceat(np.maximum(best[:half], best[half:]), g.pred_ptr[:-1])
     lo, hi = ics.min(), ics.max()
     if hi == lo:
-        return (0.0,) * g.num_edges
-    return tuple((1.0 - (ics - lo) / (hi - lo)).tolist())
+        return np.zeros(g.num_edges)
+    return 1.0 - (ics - lo) / (hi - lo)
 
 
 class EdgeCosts:
     """Direction-aware cost lookup for one graph under one scheme.
 
-    Two paths. The symmetric schemes (unweighted, AF, IAF, AF-IAF, JointIC)
-    build a whole-graph per-edge table up front from ``frequency_costs`` or
+    ``gather`` prices arrays of directed edges in one call; pass one uses it.
+    The symmetric schemes (unweighted, AF, IAF, AF-IAF, JointIC) index a
+    whole-graph float64 table built up front from ``frequency_costs`` or
     ``joint_ic_costs``. RWS is direction dependent, but the size k of the
-    endpoints' closed-neighbourhood intersection is not: k is computed lazily
-    per queried edge, since only union-graph edges are ever relaxed, and
-    memoized by edge index, over neighbourhoods memoized by
-    ``functools.lru_cache``; either direction reads
+    endpoints' closed-neighbourhood intersection is not: ``gather`` counts it
+    once per distinct queried edge from the CSR (``_shared_counts``), since only
+    core-graph edges are ever relaxed, and either direction reads
     ``1 - k / (degree(source) + 1)``.
+
+    The scalar ``cost`` is the definition that ``gather`` must equal, and it
+    serves the batch-of-one calls (``scoring.distance_matrix`` and friends):
+    a table entry, or k over closed neighbourhoods memoized by
+    ``functools.lru_cache``, memoized by edge index.
     """
 
     def __init__(self, g: KnowledgeGraph, scheme: WeightingScheme):
@@ -134,9 +150,9 @@ class EdgeCosts:
         self.scheme = scheme
         self._shared: dict[int, int] = {}
         self._closed = functools.lru_cache(maxsize=None)(g.closed_neighborhood)
-        self._table: tuple[float, ...] | None = None
+        self._table: np.ndarray | None = None
         if scheme is WeightingScheme.UNWEIGHTED:
-            self._table = (1.0,) * g.num_edges
+            self._table = np.ones(g.num_edges)
         elif scheme is WeightingScheme.JOINT_IC:
             self._table = joint_ic_costs(g)
         elif scheme is not WeightingScheme.RWS:
@@ -145,9 +161,46 @@ class EdgeCosts:
     def cost(self, source: int, target: int, edge: int) -> float:
         """Cost of relaxing ``edge`` in the direction source->target."""
         if self._table is not None:
-            return self._table[edge]
+            return float(self._table[edge])
         k = self._shared.get(edge)
         if k is None:
             k = len(self._closed(source) & self._closed(target))
             self._shared[edge] = k
         return 1.0 - k / (self.graph.degrees[source] + 1)
+
+    def gather(self, source: np.ndarray, target: np.ndarray, edge: np.ndarray) -> np.ndarray:
+        """``cost`` of each (source[i], target[i], edge[i]), as float64.
+
+        For RWS this is exact: canonical, distinct edges (``validate``) mean
+        no self-loop and no repeated edge, so adjacent ``s`` and ``t`` share
+        exactly themselves and their common neighbours, and numpy's int to
+        float64 division and subtraction round as Python's do.
+        """
+        if self._table is not None:
+            return self._table[edge]
+        g = self.graph
+        degree = np.diff(g.indptr)
+        return 1.0 - _shared_counts(g, degree, edge) / (degree[source] + 1)
+
+
+def _shared_counts(g: KnowledgeGraph, degree: np.ndarray, edge: np.ndarray) -> np.ndarray:
+    """``2 + |N(u) & N(v)|`` for each edge (u, v) of ``edge``, the size of its
+    ends' closed-neighbourhood intersection, counted once per distinct edge.
+
+    Each distinct edge walks the CSR row of its lower-degree end and looks
+    each neighbour up by ``searchsorted`` among the ``row * n + col`` keys of
+    the other ends' rows only: rows are sorted, so those keys are too.
+    """
+    edges = distinct(edge)
+    u, v = g.edge_u[edges], g.edge_v[edges]
+    low = degree[u] <= degree[v]
+    walk, other = np.where(low, u, v), np.where(low, v, u)
+    rows = distinct(other)
+    keys = np.repeat(rows * len(g), degree[rows])
+    keys += g.indices[ranges(g.indptr[rows], degree[rows])]
+    width = degree[walk]
+    probe = np.repeat(other * len(g), width) + g.indices[ranges(g.indptr[walk], width)]
+    at = np.minimum(np.searchsorted(keys, probe), max(len(keys) - 1, 0))
+    hits = np.concatenate([[0], np.cumsum(keys[at] == probe)])
+    end = np.cumsum(width)
+    return (2 + hits[end] - hits[end - width])[np.searchsorted(edges, edge)]

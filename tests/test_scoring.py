@@ -300,7 +300,7 @@ def test_core_entries_carry_out_costs(scheme):
         edges = [(np.array(sorted(u.edges), dtype=np.int64),) for u in unions]
         keys = np.array(sorted(p * len(g) + x for p, u in enumerate(unions) for x in u.seeds),
                         dtype=np.int64)
-        near, out, row, first, _ = scoring._core_batch(g, costs, members, edges, keys)
+        near, out, row, first, _ = scoring._core_batch(g, costs.gather, members, edges, keys)
         node, want, bounds = [], [], [0]
         for u in unions:
             core = core_steps(g, u, u.seeds)
@@ -804,15 +804,15 @@ def test_cuts_equal_the_batch_loop(widths, cap):
 
 
 class CountingCosts(EdgeCosts):
-    """Records the directed (source, target) of every ``cost()`` call."""
+    """Records the directed (source, target) of every edge ``gather`` prices."""
 
     def __init__(self, g, scheme):
         super().__init__(g, scheme)
         self.calls = []
 
-    def cost(self, source, target, edge):
-        self.calls.append((source, target))
-        return super().cost(source, target, edge)
+    def gather(self, source, target, edge):
+        self.calls += zip(source.tolist(), target.tolist())
+        return super().gather(source, target, edge)
 
 
 def core_steps(g, u, pins):
@@ -830,7 +830,8 @@ def core_steps(g, u, pins):
 
 @pytest.mark.parametrize("scheme", [WeightingScheme.RWS, WeightingScheme.AF_IAF])
 def test_pass_one_costs_each_distinct_directed_edge_once(monkeypatch, scheme):
-    """The pairs of one batch share edges; each directed edge costs once."""
+    """The pairs of one batch share edges; one ``gather`` prices each directed
+    edge once."""
     g, articles, annotations, pairs, seeds = random_pass_world(5, n_articles=8)
     cfg = pass_config(scheme, 2)
     entries, directed = 0, set()
@@ -843,9 +844,9 @@ def test_pass_one_costs_each_distinct_directed_edge_once(monkeypatch, scheme):
     made, batches = [], []
     real = scoring._core_batch
 
-    def counting_batch(g, costs, members, *args):
+    def counting_batch(g, price, members, *args):
         batches.append(len(members))
-        return real(g, costs, members, *args)
+        return real(g, price, members, *args)
 
     monkeypatch.setattr(scoring, "EdgeCosts", lambda *a: made.append(CountingCosts(*a)) or made[-1])
     monkeypatch.setattr(scoring, "_core_batch", counting_batch)
@@ -857,6 +858,25 @@ def test_pass_one_costs_each_distinct_directed_edge_once(monkeypatch, scheme):
     monkeypatch.setattr(scoring, "_BATCH_EDGES", 1)
     assert pass_one(g, articles, pairs, annotations, cfg) == whole
     assert len(batches) > 2
+
+
+@pytest.mark.parametrize("scheme", list(WeightingScheme), ids=lambda s: s.value)
+def test_pass_one_calls_no_scalar_cost(monkeypatch, scheme):
+    """Pass one prices edges only through ``gather``; the scalar ``cost()``
+    serves the batch-of-one calls, which the patch shows it reaches."""
+    g, articles, annotations, pairs, seeds = random_pass_world(5, n_articles=8)
+    cfg = pass_config(scheme, 2)
+
+    def refuse(self, source, target, edge):
+        raise AssertionError("pass one called cost()")
+
+    monkeypatch.setattr(EdgeCosts, "cost", refuse)
+    pass_one(g, articles, pairs, annotations, cfg)
+    a, b = "a0", "a1"
+    u = union(expand(g, seeds[a], cfg.expansion), expand(g, seeds[b], cfg.expansion))
+    assert u.edges
+    with pytest.raises(AssertionError, match="cost"):
+        distance_matrix(u, EdgeCosts(g, scheme), sorted(seeds[a]), sorted(seeds[b]))
 
 
 def reference_aggregate(forward, backward, cfg, max_finite):
@@ -905,13 +925,17 @@ def test_aggregate_sums_left_to_right():
             assert got == [reference_aggregate(f, b, cfg, 1.0) for f, b in mats], cfg
 
 
-def test_pass_one_memory_per_union_edge():
-    """Pass one's tracemalloc peak, per union edge, on a 2-hop graph: 82.4
-    bytes measured here, set by one batch of core-graph arrays over all 27
-    pairs inside ``kg.peel``. The push relaxation peaks below it at 61.6, with
-    65,536 entries a chunk; the sweeps it replaced read 86.9 at 16,384. The
-    one-``cost()``-per-edge columns peak below both, and a per-pair dict core
-    measured 69, held one union at a time."""
+@pytest.mark.parametrize("scheme", [WeightingScheme.UNWEIGHTED, WeightingScheme.RWS,
+                                    WeightingScheme.JOINT_IC], ids=lambda s: s.value)
+def test_pass_one_memory_per_union_edge(scheme):
+    """Pass one's tracemalloc peak, per union edge, on a 2-hop graph, with the
+    cost tables built inside it. Measured here: unweighted 82.4, RWS 75.2 and
+    JointIC 82.5 bytes (116.2 and 122.5 when RWS counted shared neighbours
+    over memoized frozensets and the tables were tuples of floats). The
+    unweighted peak is one batch of core-graph arrays over all 27 pairs inside
+    ``kg.peel``. The push relaxation peaks below it at 61.6, with 65,536
+    entries a chunk; the sweeps it replaced read 86.9 at 16,384. A per-pair
+    dict core measured 69, held one union at a time."""
     rng = random.Random(3)
     n, m = 2000, 10000
     edges = set()
@@ -926,7 +950,7 @@ def test_pass_one_memory_per_union_edge():
     aids = sorted(seeds)
     pairs = [(f"p{k:02d}", a, b) for k, (a, b) in enumerate(
         (a, b) for i, a in enumerate(aids) for b in aids[i + 1:] if rng.random() < 0.5)]
-    cfg = pass_config(WeightingScheme.UNWEIGHTED, 2)
+    cfg = pass_config(scheme, 2)
     union_edges = sum(len(union(expand(g, seeds[a], cfg.expansion),
                                 expand(g, seeds[b], cfg.expansion)).edges) for _, a, b in pairs)
     pass_one(g, articles, pairs, annotations, cfg)  # warm caches and imports
