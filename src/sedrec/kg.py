@@ -1,8 +1,28 @@
-"""Knowledge graph store: N-Triples parsing, pruning, and binary snapshots.
+r"""Knowledge graph store: N-Triples parsing, pruning, and binary snapshots.
 
 The graph is built from a directed RDF triple stream and exposed as an
 undirected structure: parallel connections between a node pair are collapsed
 into one edge carrying the union of their predicate labels.
+
+N-Triples are read in blocks of whole lines. A block is decoded once, and one
+``_BLOCK_RE`` search gives a row per line. The per-line rules (``_line_row``)
+define the format, and every line the block pattern refuses goes through
+them. The block pattern accepts only lines that those rules accept, and
+with the same record:
+
+- Between terms it takes only spaces and tabs, before the line spaces and
+  tabs, and after the final ``.`` spaces, tabs and ``\r``. ``str.strip``
+  and ``\s`` take each of these too.
+- Its IRIs are printable ASCII without ``<`` and ``>`` (``[!-;=?-~]``), a
+  subset of ``[^<>\s]``. So each IRI group ends at the same ``>``.
+- An object term ends in ``>``, ``"`` or a letter or digit of a language
+  tag, never in whitespace or ``.``. So the per-line pattern's lazy object
+  group is the whole term. A literal's value follows the same escape
+  grammar, so it ends at the same unescaped quote.
+- Its language tag is ``_LANG_RE``'s pattern, and its datatype is an IRI.
+
+Blank and comment lines, other whitespace, non-ASCII IRIs, bad tags and
+every line of a block that is not valid UTF-8 go through the per-line rules.
 
 The array primitives ``distinct``, ``_csr`` and ``peel`` serve ingest, expansion and core graphs.
 """
@@ -10,13 +30,17 @@ The array primitives ``distinct``, ``_csr`` and ``peel`` serve ingest, expansion
 from __future__ import annotations
 
 import gzip
+import io
 import re
 import struct
 import zlib
 from array import array
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import BinaryIO, Iterable, Iterator
+from itertools import compress, count, filterfalse, islice, repeat
+from operator import not_
+from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -27,7 +51,18 @@ _NODE_RE = re.compile(r"^<([^<>\s]+)>$")
 _LITERAL_RE = re.compile(
     r'^"((?:[^"\\]|\\.)*)"(?:@([A-Za-z0-9-]+)|\^\^<[^<>\s]+>)?$'
 )
-_LANG_RE = re.compile(r"^[A-Za-z]{1,8}(?:-[A-Za-z0-9]{1,8})*$")
+_LANG = r"[A-Za-z]{1,8}(?:-[A-Za-z0-9]{1,8})*"
+_LANG_RE = re.compile(rf"^{_LANG}$")
+
+_IRI = r"[!-;=?-~]+"
+# one row per line: subject, predicate, node object, '"' for a literal, its
+# raw value and language tag; a refused line gives a row of empty groups
+_BLOCK_RE = re.compile(
+    rf'^(?:[ \t]*<({_IRI})>[ \t]+<({_IRI})>[ \t]+(?:<({_IRI})>|(")'
+    r'([^"\\\n]*(?:\\.[^"\\\n]*)*)"'
+    rf'(?:@({_LANG})|\^\^<{_IRI}>)?)[ \t]*\.[ \t\r]*$|.*)', re.M)
+_REFUSED = ("",) * 6
+_BLOCK_BYTES = 1 << 17
 
 _UNESCAPE_RE = re.compile(r'\\(?:u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8}|[tbnrf"\'\\])')
 _SIMPLE_ESCAPES = {
@@ -60,6 +95,21 @@ class TripleRecord:
     lang: str | None = None
 
 
+class TripleBlock(NamedTuple):
+    """Consecutive records as columns: ``seq``, the input sequence number of
+    the first, then per record its subject, predicate, node object ("" for a
+    literal), literal mark ('"' for a literal, "" for a node), unescaped
+    literal value ("" for a node) and language tag ("" for none)."""
+
+    seq: int
+    subject: Sequence[str]
+    predicate: Sequence[str]
+    object: Sequence[str]
+    literal: Sequence[str]
+    value: Sequence[str]
+    lang: Sequence[str]
+
+
 @dataclass
 class ParseTally:
     """Running counts for a parse run; malformed lines are recorded, not fatal."""
@@ -73,75 +123,133 @@ class ParseTally:
         return len(self.errors)
 
 
-def _open_triples(source) -> tuple[BinaryIO, list[BinaryIO]]:
-    """Open ``source`` as a binary stream, transparently unwrapping gzip.
+@contextmanager
+def _open_triples(source) -> Iterator[BinaryIO]:
+    """``source``, a path or a binary stream, open for reading with gzip unwrapped.
 
-    Returns the stream plus the handles the caller must close (gzip wrappers
-    do not close the file object they read from).
+    The gzip magic is peeked, so a stream that cannot seek, such as a pipe,
+    is unwrapped too. A stream the caller passed is left open.
     """
-    if hasattr(source, "read"):
-        raw, own = source, []
-    else:
-        raw = open(source, "rb")
-        own = [raw]
-    if raw.seekable():
-        pos = raw.tell()
-        magic = raw.read(2)
-        raw.seek(pos)
-        if magic == b"\x1f\x8b":
-            stream = gzip.open(raw, "rb")
-            return stream, [stream, *own]
-    return raw, own
+    with ExitStack() as stack:
+        if not hasattr(source, "read"):
+            stream = stack.enter_context(open(source, "rb"))
+        elif hasattr(source, "peek"):
+            stream = source
+        else:
+            stream = io.BufferedReader(source)
+            stack.callback(stream.detach)
+        if stream.peek(2)[:2] == b"\x1f\x8b":
+            stream = stack.enter_context(gzip.open(stream, "rb"))
+        yield stream
 
 
-def parse_ntriples(source, tally: ParseTally | None = None) -> Iterator[TripleRecord]:
-    """Yield a TripleRecord per well-formed N-Triples line of ``source``.
+def _line_row(line: str) -> tuple[str, ...] | str | None:
+    """The per-line rules, which define the format: one decoded line's row in
+    ``_BLOCK_RE``'s layout, None for a blank or comment line, or the message
+    of its error."""
+    line = line.strip()
+    if not line or line.startswith("#"):
+        return None
+    m = _TRIPLE_RE.match(line)
+    if m is None:
+        return "unparseable line"
+    subject, predicate, obj = m.groups()
+    node = _NODE_RE.match(obj)
+    if node is not None:
+        return subject, predicate, node.group(1), "", "", ""
+    lit = _LITERAL_RE.match(obj)
+    if lit is None:
+        return "malformed object term"
+    value, lang = lit.groups()
+    if lang is not None and not _LANG_RE.match(lang):
+        return f"malformed language tag {lang!r}"
+    return subject, predicate, "", '"', value, lang or ""
 
-    ``source`` is a path or a binary stream, optionally gzip-compressed.
-    Malformed lines are skipped and counted in ``tally`` with their line
-    number; blank lines and ``#`` comments are ignored silently.
-    """
-    if tally is None:
-        tally = ParseTally()
-    stream, owned = _open_triples(source)
-    try:
-        for lineno, raw_line in enumerate(stream, 1):
-            tally.lines += 1
+
+def _line_rows(rows: Iterable[tuple], lines: list[bytes], first: int,
+               errors: list[tuple[int, str]]) -> list[tuple]:
+    """The rows of a block's records, from the ``_BLOCK_RE`` rows of its
+    ``lines`` and the per-line rules on each line refused there; errors are
+    recorded with their line number, counted from ``first``."""
+    out = []
+    for lineno, row, raw in zip(count(first), rows, lines):
+        if not row[0]:
             try:
-                line = raw_line.decode("utf-8")
+                row = _line_row(raw.decode("utf-8"))
             except UnicodeDecodeError:
-                tally.errors.append((lineno, "invalid UTF-8"))
+                row = "invalid UTF-8"
+            if row is None:
                 continue
-            line = line.strip()
-            if not line or line.startswith("#"):
+            if isinstance(row, str):
+                errors.append((lineno, row))
                 continue
-            m = _TRIPLE_RE.match(line)
-            if m is None:
-                tally.errors.append((lineno, "unparseable line"))
-                continue
-            subject, predicate, obj = m.groups()
-            node = _NODE_RE.match(obj)
-            if node is not None:
-                tally.records += 1
-                yield TripleRecord(subject, predicate, node.group(1))
-                continue
-            lit = _LITERAL_RE.match(obj)
-            if lit is None:
-                tally.errors.append((lineno, "malformed object term"))
-                continue
-            value, lang = lit.groups()
-            if lang is not None and not _LANG_RE.match(lang):
-                tally.errors.append((lineno, f"malformed language tag {lang!r}"))
-                continue
-            tally.records += 1
-            yield TripleRecord(subject, predicate, _unescape(value), True, lang)
-    except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
-        name = getattr(source, "name", "<stream>") if hasattr(source, "read") else source
-        raise InputDataError(f"{name}: corrupt gzip stream after line {tally.lines}: "
-                             f"{exc}") from None
-    finally:
-        for handle in owned:
-            handle.close()
+        out.append(row)
+    return out
+
+
+def _read_block(stream: BinaryIO, tally: ParseTally) -> TripleBlock | None:
+    """The records of the next block of ``stream``: about ``_BLOCK_BYTES``
+    and the rest of the line they end in; None at the end of the stream."""
+    data = stream.read(_BLOCK_BYTES)
+    if not data:
+        return None
+    data += stream.readline()
+    # a last line without a newline is a line too; ^ would start a row after
+    # a final newline, so the search stops before it
+    end = len(data) - data.endswith(b"\n")
+    first = tally.lines + 1
+    tally.lines += data.count(b"\n", 0, end) + 1
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        rows = _line_rows(repeat(_REFUSED), data[:end].split(b"\n"), first, tally.errors)
+    else:
+        rows = _BLOCK_RE.findall(text, 0, len(text) - text.endswith("\n"))
+        if _REFUSED in rows:
+            rows = _line_rows(rows, data[:end].split(b"\n"), first, tally.errors)
+    seq = tally.records
+    tally.records += len(rows)
+    subject, predicate, obj, literal, value, lang = list(zip(*rows)) or [()] * 6
+    return TripleBlock(seq, subject, predicate, obj, literal, list(map(_unescape, value)), lang)
+
+
+class NTriplesParse:
+    """A lazy parse of one N-Triples source (see ``parse_ntriples``); each
+    pass over it reads the source again and counts into the same tally."""
+
+    def __init__(self, source, tally: ParseTally):
+        self.source, self.tally = source, tally
+
+    def blocks(self) -> Iterator[TripleBlock]:
+        """The records in blocks of about ``_BLOCK_BYTES`` of input each."""
+        try:
+            with _open_triples(self.source) as stream:
+                while (block := _read_block(stream, self.tally)) is not None:
+                    yield block
+        except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
+            source = self.source
+            name = getattr(source, "name", "<stream>") if hasattr(source, "read") else source
+            # counted at the last whole block, so never past the lines parsed
+            raise InputDataError(f"{name}: corrupt gzip stream after line "
+                                 f"{self.tally.lines}: {exc}") from None
+
+    def __iter__(self) -> Iterator[TripleRecord]:
+        for b in self.blocks():
+            for s, p, o, literal, value, lang in zip(*b[1:]):
+                yield (TripleRecord(s, p, value, True, lang or None) if literal
+                       else TripleRecord(s, p, o))
+
+
+def parse_ntriples(source, tally: ParseTally | None = None) -> NTriplesParse:
+    """Parse the N-Triples of ``source``, a path or a binary stream, optionally
+    gzip-compressed.
+
+    Iterating the result yields a TripleRecord per well-formed line, in input
+    order; ``build_graph`` reads its ``blocks()`` instead. Malformed lines are
+    skipped and counted in ``tally`` with their line number; blank lines and
+    ``#`` comments are ignored silently.
+    """
+    return NTriplesParse(source, ParseTally() if tally is None else tally)
 
 
 def read_stoplist(path) -> frozenset[str]:
@@ -315,40 +423,64 @@ def _ranks(strings: list[str], ids: Iterable[int]) -> tuple[list[int], np.ndarra
     return order, rank
 
 
-def _intern(triples: Iterable[TripleRecord], cfg: PruneConfig):
-    """Read the stream once into ``_Triples`` columns without keeping a record.
+def _number(ids: dict, keys: Sequence) -> Iterator[int]:
+    """Each key's id in ``ids``, after numbering the keys it lacks in their
+    first-seen order; every loop runs in C."""
+    fresh = list(filterfalse(ids.__contains__, dict.fromkeys(keys)))
+    ids.update(zip(fresh, count(len(ids))))
+    return map(ids.__getitem__, keys)
 
-    Returns the columns, the mask of English literal triples, the node and
-    predicate id tables, and per subject its best ``type.object.name``
-    candidate that the English pass keeps, as (priority, input sequence,
-    text); lower wins.
+
+def _record_blocks(records: Iterable[TripleRecord]) -> Iterator[TripleBlock]:
+    """A record iterable cut into ``TripleBlock``s, keeping no record."""
+    records, seq = iter(records), 0
+    while rows := [(t.subject, t.predicate, "", '"', t.object, t.lang or "") if t.is_literal
+                   else (t.subject, t.predicate, t.object, "", "", "")
+                   for t in islice(records, 1 << 12)]:
+        yield TripleBlock(seq, *zip(*rows))
+        seq += len(rows)
+
+
+def _intern(blocks: Iterable[TripleBlock], cfg: PruneConfig):
+    """Read the blocks once into ``_Triples`` columns without keeping a record.
+
+    Keys are numbered a block at a time by ``_number``. Any numbering
+    serves: ``_ranks`` orders nodes and predicates by identifier, and literal
+    numbers are only counted. Python steps through ``type.object.name``
+    rows alone. Returns the columns, the mask of English literal triples,
+    the node and predicate id tables, and per subject its best
+    ``type.object.name`` candidate that the English pass keeps, as
+    (priority, input sequence, text); lower wins.
     """
     node_ids: dict[str, int] = {}
     pred_ids: dict[str, int] = {}
-    lit_ids: dict[tuple[str, str | None], int] = {}
+    lit_ids: dict[tuple[str, str], int] = {}
     cols = tuple(array("q") for _ in range(5))
     s, p, o, ls, lk = cols
     english = bytearray()
     names: dict[int, tuple[int, int, str]] = {}
-    for seq, t in enumerate(triples):
-        subject = node_ids.setdefault(t.subject, len(node_ids))
-        if not t.is_literal:
-            s.append(subject)
-            p.append(pred_ids.setdefault(t.predicate, len(pred_ids)))
-            o.append(node_ids.setdefault(t.object, len(node_ids)))
-            continue
-        ls.append(subject)
+    for b in blocks:
+        node = bytes(map(not_, b.literal))
+        subjects = list(_number(node_ids, b.subject))
+        s.extend(compress(subjects, node))
+        p.extend(_number(pred_ids, list(compress(b.predicate, node))))
+        o.extend(_number(node_ids, list(compress(b.object, node))))
+        subjects, preds, values, langs, seqs = (
+            list(compress(c, b.literal)) for c in (
+                subjects, b.predicate, b.value, b.lang, range(b.seq, b.seq + len(subjects))))
+        ls.extend(subjects)
         # the value is interned only for the out-degree filter to count
-        lk.append(lit_ids.setdefault((t.object, t.lang), len(lit_ids))
-                  if cfg.min_out_degree else 0)
-        en = _is_english(t.lang)
-        english.append(en)
-        if cfg.english_only and not en:
-            continue
-        if _pred_basename(t.predicate) == "type.object.name":
-            cand = (_title_priority(t.lang), seq, t.object)
-            if subject not in names or cand < names[subject]:
-                names[subject] = cand
+        lk.extend(_number(lit_ids, list(zip(values, langs))) if cfg.min_out_degree
+                  else repeat(0, len(subjects)))
+        en = bytes(map({x for x in set(langs) if _is_english(x or None)}.__contains__, langs))
+        english += en
+        named = {x for x in set(preds) if _pred_basename(x) == "type.object.name"}
+        for i in compress(range(len(preds)), map(named.__contains__, preds)):
+            if cfg.english_only and not en[i]:
+                continue
+            cand = (_title_priority(langs[i]), seqs[i], values[i])
+            if subjects[i] not in names or cand < names[subjects[i]]:
+                names[subjects[i]] = cand
     ts = _Triples(*(np.frombuffer(c, dtype=np.int64) for c in cols))
     return ts, np.frombuffer(english, dtype=bool), node_ids, pred_ids, names
 
@@ -369,14 +501,17 @@ def _collapse(ts: _Triples, rank: np.ndarray, pred_ids: dict[str, int]):
             hi[starts], np.append(starts, len(pr)), (np.cumsum(used) - 1)[pr])
 
 
-def build_graph(triples: Iterable[TripleRecord], cfg: PruneConfig) -> "KnowledgeGraph":
+def build_graph(triples: NTriplesParse | Iterable[TripleRecord],
+                cfg: PruneConfig) -> "KnowledgeGraph":
     """Prune a triple stream and assemble the collapsed undirected graph.
 
-    The stream is read once and no record is kept (``_intern``): subjects
-    and objects become node ids and predicates predicate ids, a node triple
-    becomes one row of integer columns, a literal triple keeps its subject
-    and a number for its ``(value, lang)``, and per subject only the best
-    ``type.object.name`` candidate is kept as text.
+    The stream is read once, as a parse's block columns or as any other
+    record iterable cut into the same columns, and no record is kept
+    (``_intern``): subjects and objects become node ids and predicates
+    predicate ids, a node triple becomes one row of integer columns, a
+    literal triple keeps its subject and a number for its ``(value, lang)``,
+    and per subject only the best ``type.object.name`` candidate is kept as
+    text.
 
     Pruning passes run in a fixed order, once each: non-English literal
     removal, stoplist removal, source out-degree filtering, leaf removal.
@@ -388,7 +523,9 @@ def build_graph(triples: Iterable[TripleRecord], cfg: PruneConfig) -> "Knowledge
     surviving node keeps degree >= 2. Literal triples for surviving nodes
     supply titles instead of edges.
     """
-    ts, english, node_ids, pred_ids, names = _intern(triples, cfg)
+    blocks = (triples.blocks() if isinstance(triples, NTriplesParse)
+              else _record_blocks(triples))
+    ts, english, node_ids, pred_ids, names = _intern(blocks, cfg)
     n = len(node_ids)
     stats = PruneStats()
     nodes = ts.census(n, "input", stats)

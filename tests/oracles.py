@@ -11,18 +11,24 @@ every record with set-based passes, the CSR rows come from one stable
 argsort of both edge ends, and the article-distance aggregates follow
 their definitions directly. The version 1 snapshot writer, which
 ``kg.load_snapshot`` still reads, packs one edge record at a time.
+``parse_lines`` is the N-Triples parser that ran one line at a time, with its
+own copies of the per-line patterns; the block parser must equal it.
 """
 
 from __future__ import annotations
 
+import gzip
 import heapq
 import math
+import re
 import struct
+import zlib
 from collections import Counter, defaultdict, deque
 
 import numpy as np
 
-from sedrec.kg import KnowledgeGraph, PassStats, PruneStats
+from sedrec.errors import InputDataError
+from sedrec.kg import KnowledgeGraph, ParseTally, PassStats, PruneStats, TripleRecord
 
 
 def enum_shortest_from(n_nodes, directed_cost, adjacency, source):
@@ -145,6 +151,97 @@ def frequency_loop(g, scheme):
               "af-iaf": {p: af[p] * iaf[p] for p in af}}[scheme]
     return scores, tuple(1.0 - max(scores[p] for p in preds)
                          for preds in g.edge_predicates)
+
+
+_TRIPLE_RE = re.compile(r"^<([^<>\s]+)>\s+<([^<>\s]+)>\s+(.+?)\s*\.$")
+_NODE_RE = re.compile(r"^<([^<>\s]+)>$")
+_LITERAL_RE = re.compile(
+    r'^"((?:[^"\\]|\\.)*)"(?:@([A-Za-z0-9-]+)|\^\^<[^<>\s]+>)?$'
+)
+_LANG_RE = re.compile(r"^[A-Za-z]{1,8}(?:-[A-Za-z0-9]{1,8})*$")
+
+_UNESCAPE_RE = re.compile(r'\\(?:u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8}|[tbnrf"\'\\])')
+_SIMPLE_ESCAPES = {
+    "t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f",
+    '"': '"', "'": "'", "\\": "\\",
+}
+
+
+def _unescape(value):
+    if "\\" not in value:
+        return value
+
+    def sub(m):
+        esc = m.group(0)[1:]
+        if esc[0] in ("u", "U"):
+            return chr(int(esc[1:], 16))
+        return _SIMPLE_ESCAPES[esc]
+
+    return _UNESCAPE_RE.sub(sub, value)
+
+
+def _open_triples(source):
+    """Open ``source`` as a binary stream, unwrapping gzip on a seekable one;
+    return it with the handles the caller must close."""
+    if hasattr(source, "read"):
+        raw, own = source, []
+    else:
+        raw = open(source, "rb")
+        own = [raw]
+    if raw.seekable():
+        pos = raw.tell()
+        magic = raw.read(2)
+        raw.seek(pos)
+        if magic == b"\x1f\x8b":
+            stream = gzip.open(raw, "rb")
+            return stream, [stream, *own]
+    return raw, own
+
+
+def parse_lines(source, tally=None):
+    """Yield a TripleRecord per well-formed N-Triples line of ``source``,
+    decoding, stripping and matching one line at a time."""
+    if tally is None:
+        tally = ParseTally()
+    stream, owned = _open_triples(source)
+    try:
+        for lineno, raw_line in enumerate(stream, 1):
+            tally.lines += 1
+            try:
+                line = raw_line.decode("utf-8")
+            except UnicodeDecodeError:
+                tally.errors.append((lineno, "invalid UTF-8"))
+                continue
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            m = _TRIPLE_RE.match(line)
+            if m is None:
+                tally.errors.append((lineno, "unparseable line"))
+                continue
+            subject, predicate, obj = m.groups()
+            node = _NODE_RE.match(obj)
+            if node is not None:
+                tally.records += 1
+                yield TripleRecord(subject, predicate, node.group(1))
+                continue
+            lit = _LITERAL_RE.match(obj)
+            if lit is None:
+                tally.errors.append((lineno, "malformed object term"))
+                continue
+            value, lang = lit.groups()
+            if lang is not None and not _LANG_RE.match(lang):
+                tally.errors.append((lineno, f"malformed language tag {lang!r}"))
+                continue
+            tally.records += 1
+            yield TripleRecord(subject, predicate, _unescape(value), True, lang)
+    except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
+        name = getattr(source, "name", "<stream>") if hasattr(source, "read") else source
+        raise InputDataError(f"{name}: corrupt gzip stream after line {tally.lines}: "
+                             f"{exc}") from None
+    finally:
+        for handle in owned:
+            handle.close()
 
 
 def _lists_is_english(lang):

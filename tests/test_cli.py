@@ -1,5 +1,10 @@
+import gzip
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -431,6 +436,23 @@ def test_ingest_accepts_gzip_triples(synthetic_root, tmp_path):
     main(["ingest", "--triples", str(synthetic_root / "kg.nt"),
           "--min-out-degree", "0", "--out", str(plain)])
     assert out.read_bytes() == plain.read_bytes()
+
+
+@pytest.mark.skipif(not Path("/dev/stdin").exists(), reason="needs /dev/stdin")
+def test_ingest_reads_gzip_through_a_pipe(synthetic_root, tmp_path, capsys):
+    """A gzip dump piped to ``--triples /dev/stdin`` is unwrapped, though a pipe cannot seek."""
+    plain, piped = tmp_path / "plain.snap", tmp_path / "piped.snap"
+    assert main(["ingest", "--triples", str(synthetic_root / "kg.nt"), "--min-out-degree", "0",
+                 "--out", str(plain)]) == 0
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "sedrec.cli", "ingest", "--triples", "/dev/stdin",
+         "--min-out-degree", "0", "--out", str(piped)],
+        input=gzip.compress((synthetic_root / "kg.nt").read_bytes()), capture_output=True,
+        env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert b" 0 malformed lines skipped" in proc.stdout
+    assert piped.read_bytes() == plain.read_bytes()
 
 
 @pytest.mark.parametrize("damage", ["truncated", "flipped-byte"])

@@ -7,6 +7,7 @@ import random
 import struct
 import tracemalloc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from sedrec.kg import (
 from sedrec.subgraph import expand
 
 from helpers import IDENTITY_PRUNE, graph_from_edges, lit, nt, random_pruned_graphs
-from oracles import build_graph_lists, csr_argsort, snapshot_v1
+from oracles import build_graph_lists, csr_argsort, parse_lines, snapshot_v1
 
 
 # ---------------------------------------------------------------- parsing
@@ -91,6 +92,81 @@ def test_parse_from_path(tmp_path):
     p = tmp_path / "kg.nt"
     p.write_text("<a> <p> <b> .\n")
     assert list(parse_ntriples(p)) == [nt("a", "p", "b")]
+
+
+class Unseekable(io.RawIOBase):
+    """A pipe-like stream: it reads, but cannot seek or peek."""
+
+    def __init__(self, data):
+        self._data = io.BytesIO(data)
+
+    def readable(self):
+        return True
+
+    def readinto(self, buf):
+        return self._data.readinto(buf)
+
+
+def test_parse_gzip_stream_that_cannot_seek():
+    stream = Unseekable(gzip.compress(b"<a> <p> <b> .\n<a> <p> \"x\"@en .\n"))
+    tally = ParseTally()
+    assert list(parse_ntriples(stream, tally)) == [nt("a", "p", "b"), lit("a", "p", "x", "en")]
+    assert tally == ParseTally(lines=2, records=2)
+    # the caller's stream stays open
+    assert not stream.closed
+
+
+# a line of parts: lead, subject, separator, predicate, separator, object, end;
+# the plain choices repeat so that many lines take the block pattern
+ODD_SPACE = ["\xa0", "\x85", "\u2028", "\x0b", "\x1c"]
+LINE_IRIS = ["n0", "n1", "n2", "http://x.org/ns/type.object.name", "type.object.name",
+             "p", "m.0k8z", "a\"b", "a\\b", "é", "a b", "", *(f"a{c}b" for c in ODD_SPACE)]
+LINE_VALUES = ["", "x", "Apple Inc.", 'say \\"hi\\"', "back\\\\slash", "caf\\u00e9",
+               "\\U0001F600", "tab\\tthen", "bad\\q", "trail\\", "a\rb", "<n0>", 'un"quoted',
+               *(f"a{c}b" for c in ODD_SPACE)]
+LINE_SUFFIXES = ["", "", "@en", "@en", "@en-GB", "@EN", "@fr", "@en_US", "@abcdefghi", "@e-",
+                 "@-x", "@", "^^<xsd:date>", "^^<http://x.org/t#int>", "^^<bad type>", "^^<é>"]
+LINE_SEPS = [" "] * 8 + ["\t", "  ", " \t", "", "\r", "\x0c", *ODD_SPACE]
+LINE_LEADS = [""] * 8 + [" ", "\t", *ODD_SPACE]
+LINE_ENDS = [" ."] * 8 + [".", "\t.", " . ", " .\r", " ..", " . x", "", " .#",
+                          *(f" .{c}" for c in ODD_SPACE), *(f"{c}." for c in ODD_SPACE)]
+OTHER_LINES = ["", "   ", "\r", "# comment", "  # comment after whitespace", "\t#", "\xa0#x",
+               "garbage", "<n0> <p>", "<n0> <p> .", '<n0> <p> "x" . .']
+BAD_UTF8 = [b'<n0> <p> "\xff" .', b"\xc3", b"<\xe9> <p> <n1> .", b"\xed\xa0\x80"]
+
+node_terms = st.sampled_from(LINE_IRIS).map("<{}>".format)
+literal_terms = st.builds('"{}"{}'.format, st.sampled_from(LINE_VALUES),
+                          st.sampled_from(LINE_SUFFIXES))
+triple_lines = st.builds("".join, st.tuples(
+    st.sampled_from(LINE_LEADS), node_terms, st.sampled_from(LINE_SEPS), node_terms,
+    st.sampled_from(LINE_SEPS), st.one_of(node_terms, literal_terms), st.sampled_from(LINE_ENDS)))
+dump_lines = st.one_of(triple_lines.map(str.encode), triple_lines.map(str.encode),
+                       st.sampled_from(OTHER_LINES).map(str.encode), st.sampled_from(BAD_UTF8))
+
+
+@st.composite
+def ntriples_dumps(draw, lines=dump_lines):
+    """Dump bytes, LF or CRLF per line, the last newline maybe missing, maybe
+    gzipped; and a block size, small ones cutting the dump into many blocks."""
+    body = b"".join(line + draw(st.sampled_from([b"\n", b"\n", b"\r\n"]))
+                    for line in draw(st.lists(lines, max_size=30)))
+    if draw(st.booleans()):
+        body = body.rstrip(b"\n")
+    if draw(st.booleans()):
+        body = gzip.compress(body)
+    return body, draw(st.sampled_from([1, 16, 100, 1 << 17]))
+
+
+@given(dump=ntriples_dumps())
+@settings(max_examples=400, deadline=None)
+def test_block_parse_equals_line_oracle(dump):
+    data, block = dump
+    with mock.patch.object(kg, "_BLOCK_BYTES", block):
+        tally = ParseTally()
+        got = list(parse_ntriples(io.BytesIO(data), tally))
+    want_tally = ParseTally()
+    assert got == list(parse_lines(io.BytesIO(data), want_tally))
+    assert tally == want_tally
 
 
 def test_read_stoplist(tmp_path):
@@ -802,6 +878,91 @@ oracle_streams = st.lists(st.one_of(oracle_node_triples, oracle_literal_triples)
 @settings(max_examples=20, deadline=None)
 def test_build_graph_matches_list_oracle(cfg, records):
     assert_same_as_oracle(records, cfg)
+
+
+# mostly well-formed triples over the nodes of ALL_PRUNE_CONFIGS' stoplist,
+# with names in several tags, and lines that only the per-line rules take
+graph_lines = st.one_of(
+    st.builds("<{}> <{}> <{}> .".format, st.sampled_from([f"n{i}" for i in range(6)]),
+              st.sampled_from(["p", "q", "http://x.org/ns/r"]),
+              st.sampled_from([f"n{i}" for i in range(7)])),
+    st.builds('<{}> <{}> "{}"{} .'.format, st.sampled_from(["n0", "n1", "l1"]),
+              st.sampled_from([NAME, f"http://rdf.freebase.com/ns/{NAME}", "label"]),
+              st.sampled_from(["A", "B", "b", "caf\\u00e9", 'say \\"B\\"']),
+              st.sampled_from(["", "@en", "@EN", "@en-GB", "@fr", "@de", "^^<xsd:string>"])),
+    st.sampled_from(["<n\xa0> <p> <n1> .", "\xa0<n0> <p> <n1> .", "<n0>\x85<p> <n3> .",
+                     "<é> <p> <n0> .", f'<n2> <{NAME}> "Zwei"@de .\xa0', "# comment",
+                     "", "garbage"]),
+).map(str.encode)
+
+
+@pytest.mark.parametrize("cfg", ALL_PRUNE_CONFIGS, ids=PRUNE_IDS)
+@given(dump=ntriples_dumps(graph_lines))
+@settings(max_examples=10, deadline=None)
+def test_build_graph_from_parse_equals_oracle(cfg, dump):
+    data, block = dump
+    with mock.patch.object(kg, "_BLOCK_BYTES", block):
+        got = build_graph(parse_ntriples(io.BytesIO(data)), cfg)
+    want = build_graph_lists(list(parse_lines(io.BytesIO(data))), cfg)
+    assert got == want
+    assert got.prune_stats == want.prune_stats
+
+
+@pytest.mark.parametrize("cfg", ALL_PRUNE_CONFIGS, ids=PRUNE_IDS)
+def test_build_graph_from_parse_equals_oracle_on_synthetic_dump(cfg, synthetic_root):
+    cfg = PruneConfig(cfg.english_only, cfg.min_out_degree,
+                      frozenset({"m.glob0", "absent"}) if cfg.stoplist else frozenset(),
+                      cfg.drop_leaves)
+    with mock.patch.object(kg, "_BLOCK_BYTES", 1 << 12):
+        got = build_graph(parse_ntriples(synthetic_root / "kg.nt"), cfg)
+    want = build_graph_lists(list(parse_lines(synthetic_root / "kg.nt")), cfg)
+    assert got == want
+    assert got.prune_stats == want.prune_stats
+
+
+def test_build_graph_on_a_parse_makes_no_record(monkeypatch, synthetic_root):
+    """``build_graph`` reads a parse's block columns: it makes no TripleRecord,
+    and on a dump the block pattern takes whole, it sends no line through the
+    per-line rules. The record view, which the patch reaches, makes records."""
+    path = synthetic_root / "kg.nt"
+    cfg = PruneConfig(english_only=True, min_out_degree=0)
+    want = build_graph(list(parse_ntriples(path)), cfg)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("made a record or ran the per-line rules")
+
+    monkeypatch.setattr(kg.TripleRecord, "__init__", refuse)
+    monkeypatch.setattr(kg, "_line_row", refuse)
+    assert build_graph(parse_ntriples(path), cfg) == want
+    with pytest.raises(AssertionError, match="record"):
+        next(iter(parse_ntriples(path)))
+
+
+def test_block_parse_memory_does_not_grow_with_the_dump(tmp_path, monkeypatch):
+    """Draining ``blocks()`` peaks within the same multiple of the block size
+    on a dump four times the size of another, and far below the larger dump."""
+    block = 1 << 14
+    monkeypatch.setattr(kg, "_BLOCK_BYTES", block)
+    sizes, peaks = [], []
+    for n in (2000, 8000):
+        path = tmp_path / f"dump{n}.nt"
+        with open(path, "w", encoding="utf-8") as fh:
+            for i in range(n):
+                fh.write(f"<http://x.org/ns/m.{i % 997}> <http://x.org/ns/p{i % 13}> "
+                         f"<http://x.org/ns/m.{i * 31 % 997}> .\n" if i % 3 else
+                         f'<http://x.org/ns/m.{i % 997}> <http://x.org/ns/{NAME}> '
+                         f'"Name \\"{i}\\" caf\\u00e9"@en .\n')
+        sizes.append(path.stat().st_size)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            for _ in parse_ntriples(path).blocks():
+                pass
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert sizes[1] > 3 * sizes[0]
+    assert max(peaks) < 16 * block < sizes[1] / 2
 
 
 def test_build_graph_keeps_no_record():
