@@ -55,6 +55,7 @@ from .articles import ContextWordConfig, ScreeningConfig
 from .weighting import WeightingScheme
 
 KG_ENV_VAR = "SEDREC_KG"
+UNHASHED = "unhashed: not a regular file"
 
 
 # ------------------------------------------------------------- manifests
@@ -71,6 +72,10 @@ def _digest_path(path) -> str:
     path = Path(path)
     if path.is_file():
         return _digest_file(path)
+    if not path.is_dir():
+        # a pipe or device such as /dev/stdin: the run already read its bytes,
+        # and opening it again would hash nothing or block
+        return UNHASHED
     h = hashlib.sha256()
     for sub in sorted(p for p in path.rglob("*") if p.is_file()):
         h.update(str(sub.relative_to(path)).encode())

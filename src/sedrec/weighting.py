@@ -137,7 +137,12 @@ class EdgeCosts:
     endpoints' closed-neighbourhood intersection is not: ``gather`` counts it
     once per distinct queried edge from the CSR (``_shared_counts``), since only
     core-graph edges are ever relaxed, and either direction reads
-    ``1 - k / (degree(source) + 1)``.
+    ``1 - k / (degree(source) + 1)``. The count probes the neighbours of one
+    end through a hashed mark table of the other ends' neighbours, then checks
+    each marked probe exactly. The table has no false negatives, since equal
+    keys hash equally, so k is exact. Its hash is a fixed multiplier, so k does
+    not depend on ``PYTHONHASHSEED``. The table takes at most four times the
+    bytes of its keys.
 
     The scalar ``cost`` is the definition that ``gather`` must equal, and it
     serves the batch-of-one calls (``scoring.distance_matrix`` and friends):
@@ -187,9 +192,21 @@ def _shared_counts(g: KnowledgeGraph, degree: np.ndarray, edge: np.ndarray) -> n
     """``2 + |N(u) & N(v)|`` for each edge (u, v) of ``edge``, the size of its
     ends' closed-neighbourhood intersection, counted once per distinct edge.
 
-    Each distinct edge walks the CSR row of its lower-degree end and looks
-    each neighbour up by ``searchsorted`` among the ``row * n + col`` keys of
-    the other ends' rows only: rows are sorted, so those keys are too.
+    Each distinct edge walks the CSR row of its lower-degree end and probes
+    each neighbour among the ``row * n + col`` keys of the other ends' rows
+    only: rows are sorted, so those keys are too. Filter, then verify:
+
+    - Every key sets its mark in a boolean table, at its ``_bucket`` hash.
+      The table has ``2 ** (len(keys).bit_length() + 4)`` one-byte entries:
+      more than 16 per key, and at most four times the bytes of ``keys``.
+    - A probe whose mark is clear cannot be a key, because equal keys hash
+      equally: the filter has no false negatives.
+    - Each probe whose mark is set is looked up in ``keys`` by
+      ``searchsorted``, so a false positive is never counted.
+
+    So the count is exact, whatever the hash. The hash is fixed integer
+    arithmetic, not Python's ``hash()``, and does not depend on
+    ``PYTHONHASHSEED``.
     """
     edges = distinct(edge)
     u, v = g.edge_u[edges], g.edge_v[edges]
@@ -200,7 +217,23 @@ def _shared_counts(g: KnowledgeGraph, degree: np.ndarray, edge: np.ndarray) -> n
     keys += g.indices[ranges(g.indptr[rows], degree[rows])]
     width = degree[walk]
     probe = np.repeat(other * len(g), width) + g.indices[ranges(g.indptr[walk], width)]
-    at = np.minimum(np.searchsorted(keys, probe), max(len(keys) - 1, 0))
-    hits = np.concatenate([[0], np.cumsum(keys[at] == probe)])
-    end = np.cumsum(width)
-    return (2 + hits[end] - hits[end - width])[np.searchsorted(edges, edge)]
+    bits = len(keys).bit_length() + 4
+    mark = np.zeros(1 << bits, dtype=bool)
+    mark[_bucket(keys, bits)] = True
+    likely = np.flatnonzero(mark[_bucket(probe, bits)])
+    at = np.minimum(np.searchsorted(keys, probe[likely]), len(keys) - 1)
+    hit = likely[keys[at] == probe[likely]]
+    # probes run edge by edge, ``width`` per edge
+    shared = np.bincount(np.searchsorted(np.cumsum(width), hit, "right"), minlength=len(edges))
+    return (2 + shared)[np.searchsorted(edges, edge)]
+
+
+# 2 ** 64 over the golden ratio, made odd: Fibonacci hashing's multiplier
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _bucket(key: np.ndarray, bits: int) -> np.ndarray:
+    """A ``bits``-bit hash of each non-negative int64 key: the top bits of the
+    key times a fixed odd 64-bit constant, modulo 2 ** 64. Returned as int64,
+    which numpy indexes with no cast."""
+    return ((key.view(np.uint64) * _GOLDEN) >> np.uint64(64 - bits)).view(np.int64)

@@ -1,4 +1,5 @@
 import gzip
+import hashlib
 import json
 import os
 import shutil
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from sedrec.cli import main
+from sedrec.cli import UNHASHED, main
 from sedrec.evaluation import load_cnrec
 from sedrec.kg import load_snapshot
 from sedrec.scoring import ScoreTable
@@ -453,6 +454,10 @@ def test_ingest_reads_gzip_through_a_pipe(synthetic_root, tmp_path, capsys):
     assert proc.returncode == 0, proc.stderr.decode()
     assert b" 0 malformed lines skipped" in proc.stdout
     assert piped.read_bytes() == plain.read_bytes()
+    # a pipe is recorded by name, never as the digest of no bytes
+    inputs = json.loads(Path(str(piped) + ".manifest.json").read_text())["inputs"]
+    assert inputs["/dev/stdin"] == UNHASHED
+    assert inputs["/dev/stdin"] != "sha256:" + hashlib.sha256(b"").hexdigest()
 
 
 @pytest.mark.parametrize("damage", ["truncated", "flipped-byte"])

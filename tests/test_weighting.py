@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sedrec import weighting
 from sedrec.kg import KnowledgeGraph
 from sedrec.weighting import (
     EdgeCosts,
@@ -254,6 +255,10 @@ def test_edge_costs_match_scheme_functions(g, scheme):
             assert costs.cost(a, b, e) == want
 
 
+def priced_both_ways(g):
+    return [step for e, (u, v) in enumerate(g.edge_endpoints) for step in ((u, v, e), (v, u, e))]
+
+
 @given(random_graph(), st.sampled_from(list(WeightingScheme)), st.randoms(use_true_random=False))
 @example(graph_from_edges([("a", "b"), ("b", "c"), ("a", "c"), ("c", "d")]),
          WeightingScheme.RWS, random.Random(0))
@@ -266,12 +271,48 @@ def test_gather_equals_scalar_cost(g, scheme, rng):
     empty; the examples hold RWS zero-cost edges (a triangle, an isolated
     pair) and edgeless graphs."""
     costs = EdgeCosts(g, scheme)
-    steps = [step for e, (u, v) in enumerate(g.edge_endpoints) for step in ((u, v, e), (v, u, e))]
+    steps = priced_both_ways(g)
     draws = [rng.choice(steps) for _ in range(rng.randint(0, 2 * len(steps)))] if steps else []
     for query in (steps, draws, []):
         got = costs.gather(*np.array(query, dtype=np.int64).reshape(-1, 3).T)
         assert got.dtype == np.float64
         assert got.tolist() == [costs.cost(*step) for step in query]
+
+
+def rws_batches():
+    """(graph, batch) cases that stress ``_shared_counts``' filter at its ends."""
+    complete = graph_from_edges([(f"k{i}", f"k{j}") for i in range(12) for j in range(i + 1, 12)])
+    star = graph_from_edges([("hub", f"leaf{i}") for i in range(30)])
+    hub = star.node_index("hub")
+    pendant = graph_from_edges([("a", "b"), ("b", "c"), ("a", "c"), ("a", "x"), ("a", "y"),
+                                ("b", "z"), ("c", "d"), ("d", "e")])
+    mixed = graph_from_edges([("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("c", "d"),
+                              ("d", "e"), ("e", "f"), ("f", "a"), ("e", "g")])
+    backward = [(t, s, e) for s, t, e in priced_both_ways(pendant)[::2]]
+    return {
+        # every probe but the other end itself hits, so nearly every mark read is set
+        "complete": (complete, priced_both_ways(complete)[::2]),
+        # the walked end is always a degree-1 leaf, whose one probe is the hub
+        "star": (star, [step for step in priced_both_ways(star) if step[1] == hub]),
+        "pendant": (pendant, backward + backward[::-1]),
+        "both-directions": (mixed, priced_both_ways(mixed) + priced_both_ways(mixed)[::-3]),
+        "empty": (mixed, []),
+    }
+
+
+@pytest.mark.parametrize("case", list(rws_batches()))
+@pytest.mark.parametrize("hashing", ["fixed", "constant"])
+def test_rws_gather_bytes_equal_scalar_cost(monkeypatch, case, hashing):
+    """RWS ``gather`` on adversarial batches is byte-equal to ``cost``, also
+    when every key hashes alike and the filter lets every probe through."""
+    if hashing == "constant":
+        monkeypatch.setattr(weighting, "_bucket", lambda key, bits: np.zeros(len(key), np.int64))
+    g, query = rws_batches()[case]
+    costs = EdgeCosts(g, WeightingScheme.RWS)
+    got = costs.gather(*np.array(query, dtype=np.int64).reshape(-1, 3).T)
+    want = np.array([costs.cost(*step) for step in query], dtype=np.float64)
+    assert got.dtype == np.float64 and len(got) == len(query)
+    assert got.tobytes() == want.tobytes()
 
 
 @given(random_graph(), st.sampled_from([WeightingScheme.AF, WeightingScheme.IAF,
