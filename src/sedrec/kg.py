@@ -71,17 +71,15 @@ _SIMPLE_ESCAPES = {
 }
 
 
+def _escaped(m: re.Match) -> str:
+    esc = m.group(0)[1:]
+    if esc[0] in ("u", "U"):
+        return chr(int(esc[1:], 16))
+    return _SIMPLE_ESCAPES[esc]
+
+
 def _unescape(value: str) -> str:
-    if "\\" not in value:
-        return value
-
-    def sub(m: re.Match) -> str:
-        esc = m.group(0)[1:]
-        if esc[0] in ("u", "U"):
-            return chr(int(esc[1:], 16))
-        return _SIMPLE_ESCAPES[esc]
-
-    return _UNESCAPE_RE.sub(sub, value)
+    return _UNESCAPE_RE.sub(_escaped, value) if "\\" in value else value
 
 
 @dataclass(frozen=True)

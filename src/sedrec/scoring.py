@@ -20,11 +20,10 @@ union edges keyed ``pair * E + edge``, node slots keyed ``pair * n + node``,
 the members of union degree <= 1 that are not pinned seeds removed by
 ``kg.peel``, slots numbered pair by pair in sorted member order, rows
 grouped by slot from ``kg._csr``, and one ``EdgeCosts.gather`` per batch
-over its distinct directed edges, each cost shared by every pair whose core
-holds the edge. ``_relax`` finds
-the distances from every pinned seed, one search row per pair and seed, by
-pushes from the slots that improved, over flat arrays, at most ``_CHUNK``
-core entries and slots of search rows at a time.
+over all its directed core entries. ``_relax`` finds the distances from every
+pinned seed, one search row per pair and seed, by pushes from the slots that
+improved, over flat arrays, at most ``_CHUNK`` core entries and slots of
+search rows at a time.
 One rule, ``_cuts``, cuts both the batches and the chunks from a cumulative
 sum. ``_cells`` lays the distances out as each pair's flat forward and
 backward matrices (``Matrices``). ``pair_matrices``, ``distance_matrix``,
@@ -44,8 +43,8 @@ fl(D[x] + c(x, y))``. ``fl(d + c)`` is monotone in ``d``, so by induction
 along any path ``D`` is at most the path's sum at each node: ``D <= L``, and
 ``D == L`` bit for bit. Chunks split the set of search rows, never a row, so
 they cannot change a value. A cost depends only on its ``(source, target,
-edge)`` arguments, which the distinct key ``edge * 2 + direction`` fixes, so
-sharing one priced edge across the pairs of a batch cannot change one either.
+edge)`` arguments, so pricing a whole batch in one call gives every entry the
+float its pair would get alone.
 """
 
 from __future__ import annotations
@@ -135,8 +134,8 @@ def _core_batch(g: KnowledgeGraph, price: Price, members: Sequence[Sequence[np.n
     step from the slot to that neighbour; each slot's first entry ``row``, one
     past the last slot's; each pair's first slot ``first``, one past the last
     pair's; and each pin's local id, its slot less its pair's first. One
-    ``price`` call gathers the costs of the batch's distinct directed edges,
-    each priced once for every pair that shares it.
+    ``price`` call gathers every entry's out-cost, from its slot's node to its
+    neighbour's, whether or not other pairs hold the same edge.
     """
     n, m = len(g), max(g.num_edges, 1)
 
@@ -165,22 +164,8 @@ def _core_batch(g: KnowledgeGraph, price: Price, members: Sequence[Sequence[np.n
     del rank
     row, near, at = _csr(su, sv, len(node))
     del su, sv
-    # Pairs share edges, so each distinct directed edge is priced once: an
-    # entry's out-step, from its slot to its neighbour, is keyed edge * 2 + 1
-    # when it runs from the edge's higher end to its lower. Only the inverse
-    # index and the distinct (source, target, edge) columns are held while
-    # price runs, so its own temporaries do not stack on the entry arrays.
-    key = edge[at] * 2 + (np.repeat(node, np.diff(row)) > node[near])
-    del at, edge, node
-    keys = distinct(key)
-    inverse = np.searchsorted(keys, key)
-    del key
-    edge, down = np.divmod(keys, 2)
-    del keys
-    source = np.where(down, g.edge_v[edge], g.edge_u[edge])
-    dest = np.where(down, g.edge_u[edge], g.edge_v[edge])
-    del down
-    return near, price(source, dest, edge)[inverse], row, first, pin_local
+    out = price(np.repeat(node, np.diff(row)), node[near], edge[at])
+    return near, out, row, first, pin_local
 
 
 def _cuts(width: np.ndarray, cap: int) -> list[int]:

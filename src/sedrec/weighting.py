@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .kg import KnowledgeGraph, _run_starts, distinct
-from .subgraph import ranges
+from .subgraph import contains, ranges
 
 
 class WeightingScheme(Enum):
@@ -130,12 +130,13 @@ def joint_ic_costs(g: KnowledgeGraph) -> np.ndarray:
 class EdgeCosts:
     """Direction-aware cost lookup for one graph under one scheme.
 
-    ``gather`` prices arrays of directed edges in one call; pass one uses it.
-    The symmetric schemes (unweighted, AF, IAF, AF-IAF, JointIC) index a
-    whole-graph float64 table built up front from ``frequency_costs`` or
-    ``joint_ic_costs``. RWS is direction dependent, but the size k of the
-    endpoints' closed-neighbourhood intersection is not: ``gather`` counts it
-    once per distinct queried edge from the CSR (``_shared_counts``), since only
+    ``gather`` prices arrays of directed edges in one call; pass one calls it
+    once per batch, repeated edges included. The symmetric schemes (unweighted,
+    AF, IAF, AF-IAF, JointIC) index a whole-graph float64 table built up front
+    from ``frequency_costs`` or ``joint_ic_costs``. RWS is direction dependent,
+    but the size k of the endpoints' closed-neighbourhood intersection is not:
+    ``gather`` counts it once per distinct queried edge from the CSR
+    (``_shared_counts``, the only place repeated edges are removed), since only
     core-graph edges are ever relaxed, and either direction reads
     ``1 - k / (degree(source) + 1)``. The count probes the neighbours of one
     end through a hashed mark table of the other ends' neighbours, then checks
@@ -190,7 +191,8 @@ class EdgeCosts:
 
 def _shared_counts(g: KnowledgeGraph, degree: np.ndarray, edge: np.ndarray) -> np.ndarray:
     """``2 + |N(u) & N(v)|`` for each edge (u, v) of ``edge``, the size of its
-    ends' closed-neighbourhood intersection, counted once per distinct edge.
+    ends' closed-neighbourhood intersection, counted once per distinct edge:
+    the only place that removes the repeated edges pass one gathers.
 
     Each distinct edge walks the CSR row of its lower-degree end and probes
     each neighbour among the ``row * n + col`` keys of the other ends' rows
@@ -202,7 +204,7 @@ def _shared_counts(g: KnowledgeGraph, degree: np.ndarray, edge: np.ndarray) -> n
     - A probe whose mark is clear cannot be a key, because equal keys hash
       equally: the filter has no false negatives.
     - Each probe whose mark is set is looked up in ``keys`` by
-      ``searchsorted``, so a false positive is never counted.
+      ``subgraph.contains``, so a false positive is never counted.
 
     So the count is exact, whatever the hash. The hash is fixed integer
     arithmetic, not Python's ``hash()``, and does not depend on
@@ -221,8 +223,7 @@ def _shared_counts(g: KnowledgeGraph, degree: np.ndarray, edge: np.ndarray) -> n
     mark = np.zeros(1 << bits, dtype=bool)
     mark[_bucket(keys, bits)] = True
     likely = np.flatnonzero(mark[_bucket(probe, bits)])
-    at = np.minimum(np.searchsorted(keys, probe[likely]), len(keys) - 1)
-    hit = likely[keys[at] == probe[likely]]
+    hit = likely[contains(keys, probe[likely])]
     # probes run edge by edge, ``width`` per edge
     shared = np.bincount(np.searchsorted(np.cumsum(width), hit, "right"), minlength=len(edges))
     return (2 + shared)[np.searchsorted(edges, edge)]

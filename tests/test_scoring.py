@@ -804,14 +804,15 @@ def test_cuts_equal_the_batch_loop(widths, cap):
 
 
 class CountingCosts(EdgeCosts):
-    """Records the directed (source, target) of every edge ``gather`` prices."""
+    """Records the directed (source, target, edge) of every edge ``gather`` prices,
+    one list per call."""
 
     def __init__(self, g, scheme):
         super().__init__(g, scheme)
         self.calls = []
 
     def gather(self, source, target, edge):
-        self.calls += zip(source.tolist(), target.tolist())
+        self.calls.append(list(zip(source.tolist(), target.tolist(), edge.tolist())))
         return super().gather(source, target, edge)
 
 
@@ -829,18 +830,16 @@ def core_steps(g, u, pins):
 
 
 @pytest.mark.parametrize("scheme", [WeightingScheme.RWS, WeightingScheme.AF_IAF])
-def test_pass_one_costs_each_distinct_directed_edge_once(monkeypatch, scheme):
-    """The pairs of one batch share edges; one ``gather`` prices each directed
-    edge once."""
+def test_pass_one_gathers_every_core_step_in_one_call(monkeypatch, scheme):
+    """The pairs of one batch share edges; one ``gather`` prices every pair's
+    directed core steps, repeats included."""
     g, articles, annotations, pairs, seeds = random_pass_world(5, n_articles=8)
     cfg = pass_config(scheme, 2)
-    entries, directed = 0, set()
+    steps = collections.Counter()
     for _, a, b in pairs:
         u = union(expand(g, seeds[a], cfg.expansion), expand(g, seeds[b], cfg.expansion))
         pins = {g.node_index(s) for s in seeds[a] | seeds[b] if g.has_node(s)}
-        steps = core_steps(g, u, pins & u.members)
-        entries += len(steps)
-        directed |= steps
+        steps.update((x, y, g.edge_between(x, y)) for x, y in core_steps(g, u, pins & u.members))
     made, batches = [], []
     real = scoring._core_batch
 
@@ -853,8 +852,9 @@ def test_pass_one_costs_each_distinct_directed_edge_once(monkeypatch, scheme):
     whole = pass_one(g, articles, pairs, annotations, cfg)
     assert batches == [len(pairs)]
     (calls,) = [c.calls for c in made]
-    assert sorted(calls) == sorted(directed)
-    assert len(calls) < entries
+    assert len(calls) == 1
+    assert collections.Counter(calls[0]) == steps
+    assert len(steps) < steps.total()
     monkeypatch.setattr(scoring, "_BATCH_EDGES", 1)
     assert pass_one(g, articles, pairs, annotations, cfg) == whole
     assert len(batches) > 2
@@ -1025,7 +1025,14 @@ def test_frequency_scheme_costs_are_symmetric(mini_world):
     (ScoringConfig(variant=SedVariant.ROW, reverse_direction=True,
                    weighting=WeightingScheme.AF),
      "3175f1ef67e408430e8b948d736f2e12ee984d8e40936f71ca21f7733b2a8530"),
-], ids=["sym-rws-1hop", "sym-rws-2hop", "avg-jointic-2hop", "row-reversed-af-1hop"])
+    (ScoringConfig(weighting=WeightingScheme.UNWEIGHTED, expansion=ExpansionConfig(2)),
+     "d82ede6119f48be44d3f3f7bf88ed954860ad713038a8dbc8d67dccfc471c79d"),
+    (ScoringConfig(weighting=WeightingScheme.IAF, expansion=ExpansionConfig(2)),
+     "fd148d262c1c3eefe89ab06fa61b3b3185a5f9051eb5c60ace766718672f3c37"),
+    (ScoringConfig(weighting=WeightingScheme.AF_IAF, expansion=ExpansionConfig(2)),
+     "c9ccf2d08b9d5e3614a5f417db63c995a36f6b7463af47b3ce6f8d035deab5e8"),
+], ids=["sym-rws-1hop", "sym-rws-2hop", "avg-jointic-2hop", "row-reversed-af-1hop",
+        "sym-unweighted-2hop", "sym-iaf-2hop", "sym-af-iaf-2hop"])
 def test_score_csv_digests_are_pinned(synthetic_root, tmp_path, cfg, digest):
     g = build_graph(parse_ntriples(synthetic_root / "kg.nt"),
                     PruneConfig(english_only=True, min_out_degree=0))
