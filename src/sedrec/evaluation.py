@@ -19,6 +19,7 @@ import numpy as np
 from .articles import Article, load_corpus
 from .delimited import Number, read_table, write_table
 from .errors import InputDataError
+from .kg import _run_starts
 
 log = logging.getLogger(__name__)
 
@@ -210,15 +211,12 @@ def confusion_and_f1(labels: Mapping[str, bool],
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     order = np.argsort(values, kind="stable")
+    start = np.flatnonzero(_run_starts(values[order]))
+    size = np.diff(start, append=len(values))
     ranks = np.empty(len(values), dtype=np.float64)
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        # ties share the mean of the ranks they span (1-based)
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    # ties share the mean of the ranks they span (1-based); NaN equals
+    # nothing, so each NaN is a run of its own
+    ranks[order] = np.repeat((2 * start + size - 1) / 2.0 + 1.0, size)
     return ranks
 
 

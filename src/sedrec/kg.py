@@ -4,11 +4,13 @@ The graph is built from a directed RDF triple stream and exposed as an
 undirected structure: parallel connections between a node pair are collapsed
 into one edge carrying the union of their predicate labels.
 
-N-Triples are read in blocks of whole lines. A block is decoded once, and one
+N-Triples are read in blocks of whole lines, and the parse yields each block
+as columns (``TripleBlock``), its only output; ``build_graph`` reads them
+without making a record per triple. A block is decoded once, and one
 ``_BLOCK_RE`` search gives a row per line. The per-line rules (``_line_row``)
 define the format, and every line the block pattern refuses goes through
 them. The block pattern accepts only lines that those rules accept, and
-with the same record:
+with the same row:
 
 - Between terms it takes only spaces and tabs, before the line spaces and
   tabs, and after the final ``.`` spaces, tabs and ``\r``. ``str.strip``
@@ -38,7 +40,7 @@ from array import array
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress, count, filterfalse, islice, repeat
+from itertools import compress, count, filterfalse, repeat
 from operator import not_
 from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence
 
@@ -82,21 +84,11 @@ def _unescape(value: str) -> str:
     return _UNESCAPE_RE.sub(_escaped, value) if "\\" in value else value
 
 
-@dataclass(frozen=True)
-class TripleRecord:
-    """One parsed triple. ``object`` is a node identifier or a literal value."""
-
-    subject: str
-    predicate: str
-    object: str
-    is_literal: bool = False
-    lang: str | None = None
-
-
 class TripleBlock(NamedTuple):
-    """Consecutive records as columns: ``seq``, the input sequence number of
-    the first, then per record its subject, predicate, node object ("" for a
-    literal), literal mark ('"' for a literal, "" for a node), unescaped
+    """The triples of one block of input as columns, the form ``parse_ntriples``
+    yields and ``build_graph`` reads: ``seq``, the input sequence number of the
+    first triple, then per triple its subject, predicate, node object ("" for
+    a literal), literal mark ('"' for a literal, "" for a node), unescaped
     literal value ("" for a node) and language tag ("" for none)."""
 
     seq: int
@@ -186,8 +178,9 @@ def _line_rows(rows: Iterable[tuple], lines: list[bytes], first: int,
 
 
 def _read_block(stream: BinaryIO, tally: ParseTally) -> TripleBlock | None:
-    """The records of the next block of ``stream``: about ``_BLOCK_BYTES``
-    and the rest of the line they end in; None at the end of the stream."""
+    """The triples of the next block of ``stream``, about ``_BLOCK_BYTES``
+    and the rest of the line they end in, as columns; None at the end of the
+    stream."""
     data = stream.read(_BLOCK_BYTES)
     if not data:
         return None
@@ -211,43 +204,25 @@ def _read_block(stream: BinaryIO, tally: ParseTally) -> TripleBlock | None:
     return TripleBlock(seq, subject, predicate, obj, literal, list(map(_unescape, value)), lang)
 
 
-class NTriplesParse:
-    """A lazy parse of one N-Triples source (see ``parse_ntriples``); each
-    pass over it reads the source again and counts into the same tally."""
-
-    def __init__(self, source, tally: ParseTally):
-        self.source, self.tally = source, tally
-
-    def blocks(self) -> Iterator[TripleBlock]:
-        """The records in blocks of about ``_BLOCK_BYTES`` of input each."""
-        try:
-            with _open_triples(self.source) as stream:
-                while (block := _read_block(stream, self.tally)) is not None:
-                    yield block
-        except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
-            source = self.source
-            name = getattr(source, "name", "<stream>") if hasattr(source, "read") else source
-            # counted at the last whole block, so never past the lines parsed
-            raise InputDataError(f"{name}: corrupt gzip stream after line "
-                                 f"{self.tally.lines}: {exc}") from None
-
-    def __iter__(self) -> Iterator[TripleRecord]:
-        for b in self.blocks():
-            for s, p, o, literal, value, lang in zip(*b[1:]):
-                yield (TripleRecord(s, p, value, True, lang or None) if literal
-                       else TripleRecord(s, p, o))
-
-
-def parse_ntriples(source, tally: ParseTally | None = None) -> NTriplesParse:
+def parse_ntriples(source, tally: ParseTally | None = None) -> Iterator[TripleBlock]:
     """Parse the N-Triples of ``source``, a path or a binary stream, optionally
-    gzip-compressed.
+    gzip-compressed, into ``TripleBlock``s of about ``_BLOCK_BYTES`` of input
+    each, in input order.
 
-    Iterating the result yields a TripleRecord per well-formed line, in input
-    order; ``build_graph`` reads its ``blocks()`` instead. Malformed lines are
-    skipped and counted in ``tally`` with their line number; blank lines and
-    ``#`` comments are ignored silently.
+    Malformed lines are skipped and counted in ``tally`` with their line
+    number; blank lines and ``#`` comments are ignored silently. A corrupt
+    gzip stream raises ``InputDataError``.
     """
-    return NTriplesParse(source, ParseTally() if tally is None else tally)
+    tally = ParseTally() if tally is None else tally
+    try:
+        with _open_triples(source) as stream:
+            while (block := _read_block(stream, tally)) is not None:
+                yield block
+    except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
+        name = getattr(source, "name", "<stream>") if hasattr(source, "read") else source
+        # counted at the last whole block, so never past the lines parsed
+        raise InputDataError(f"{name}: corrupt gzip stream after line "
+                             f"{tally.lines}: {exc}") from None
 
 
 def read_stoplist(path) -> frozenset[str]:
@@ -429,16 +404,6 @@ def _number(ids: dict, keys: Sequence) -> Iterator[int]:
     return map(ids.__getitem__, keys)
 
 
-def _record_blocks(records: Iterable[TripleRecord]) -> Iterator[TripleBlock]:
-    """A record iterable cut into ``TripleBlock``s, keeping no record."""
-    records, seq = iter(records), 0
-    while rows := [(t.subject, t.predicate, "", '"', t.object, t.lang or "") if t.is_literal
-                   else (t.subject, t.predicate, t.object, "", "", "")
-                   for t in islice(records, 1 << 12)]:
-        yield TripleBlock(seq, *zip(*rows))
-        seq += len(rows)
-
-
 def _intern(blocks: Iterable[TripleBlock], cfg: PruneConfig):
     """Read the blocks once into ``_Triples`` columns without keeping a record.
 
@@ -499,13 +464,12 @@ def _collapse(ts: _Triples, rank: np.ndarray, pred_ids: dict[str, int]):
             hi[starts], np.append(starts, len(pr)), (np.cumsum(used) - 1)[pr])
 
 
-def build_graph(triples: NTriplesParse | Iterable[TripleRecord],
-                cfg: PruneConfig) -> "KnowledgeGraph":
-    """Prune a triple stream and assemble the collapsed undirected graph.
+def build_graph(blocks: Iterable[TripleBlock], cfg: PruneConfig) -> "KnowledgeGraph":
+    """Prune a stream of ``TripleBlock``s, such as ``parse_ntriples`` yields,
+    and assemble the collapsed undirected graph.
 
-    The stream is read once, as a parse's block columns or as any other
-    record iterable cut into the same columns, and no record is kept
-    (``_intern``): subjects and objects become node ids and predicates
+    The stream is read once, a block at a time, and no triple is kept as a
+    record (``_intern``): subjects and objects become node ids and predicates
     predicate ids, a node triple becomes one row of integer columns, a
     literal triple keeps its subject and a number for its ``(value, lang)``,
     and per subject only the best ``type.object.name`` candidate is kept as
@@ -521,8 +485,6 @@ def build_graph(triples: NTriplesParse | Iterable[TripleRecord],
     surviving node keeps degree >= 2. Literal triples for surviving nodes
     supply titles instead of edges.
     """
-    blocks = (triples.blocks() if isinstance(triples, NTriplesParse)
-              else _record_blocks(triples))
     ts, english, node_ids, pred_ids, names = _intern(blocks, cfg)
     n = len(node_ids)
     stats = PruneStats()

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import random
 
-from sedrec.kg import KnowledgeGraph, PruneConfig, TripleRecord, build_graph
+from sedrec.kg import KnowledgeGraph, PruneConfig, build_graph
+
+from oracles import TripleRecord, blocks_of
 
 IDENTITY_PRUNE = PruneConfig(english_only=False, min_out_degree=0)
 
@@ -27,7 +29,7 @@ def graph_from_edges(edges, titles=None) -> KnowledgeGraph:
     if titles:
         for ident, title in titles.items():
             triples.append(lit(ident, "type.object.name", title, "en"))
-    return build_graph(triples, IDENTITY_PRUNE)
+    return build_graph(blocks_of(triples), IDENTITY_PRUNE)
 
 
 def random_pruned_graphs():
@@ -50,4 +52,4 @@ def random_pruned_graphs():
             min_out_degree=rng.choice((0, 0, 1, 2)),
             drop_leaves=rng.random() < 0.5,
         )
-        yield build_graph(triples, cfg)
+        yield build_graph(blocks_of(triples), cfg)

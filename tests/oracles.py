@@ -12,7 +12,12 @@ argsort of both edge ends, and the article-distance aggregates follow
 their definitions directly. The version 1 snapshot writer, which
 ``kg.load_snapshot`` still reads, packs one edge record at a time.
 ``parse_lines`` is the N-Triples parser that ran one line at a time, with its
-own copies of the per-line patterns; the block parser must equal it.
+own copies of the per-line patterns; the block parser must equal it. It
+yields ``TripleRecord``s, one object per triple, a form the package does not
+use: ``records_of`` flattens the parse's block columns into records, and
+``blocks_of`` cuts records into the columns ``kg.build_graph`` reads.
+``average_ranks`` is the tie-averaging rank loop that
+``evaluation._average_ranks`` replaces with one mask over the sorted values.
 """
 
 from __future__ import annotations
@@ -24,11 +29,43 @@ import re
 import struct
 import zlib
 from collections import Counter, defaultdict, deque
+from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from sedrec.errors import InputDataError
-from sedrec.kg import KnowledgeGraph, ParseTally, PassStats, PruneStats, TripleRecord
+from sedrec.kg import KnowledgeGraph, ParseTally, PassStats, PruneStats, TripleBlock
+
+
+@dataclass(frozen=True)
+class TripleRecord:
+    """One parsed triple. ``object`` is a node identifier or a literal value."""
+
+    subject: str
+    predicate: str
+    object: str
+    is_literal: bool = False
+    lang: str | None = None
+
+
+def records_of(blocks):
+    """The records of ``TripleBlock``s, in order."""
+    for b in blocks:
+        for s, p, o, literal, value, lang in zip(*b[1:]):
+            yield (TripleRecord(s, p, value, True, lang or None) if literal
+                   else TripleRecord(s, p, o))
+
+
+def blocks_of(records, size=1 << 12):
+    """A record iterable cut into ``TripleBlock``s of ``size`` records,
+    keeping no record past its block."""
+    records, seq = iter(records), 0
+    while rows := [(t.subject, t.predicate, "", '"', t.object, t.lang or "") if t.is_literal
+                   else (t.subject, t.predicate, t.object, "", "", "")
+                   for t in islice(records, size)]:
+        yield TripleBlock(seq, *zip(*rows))
+        seq += len(rows)
 
 
 def enum_shortest_from(n_nodes, directed_cost, adjacency, source):
@@ -448,3 +485,18 @@ def pearson(xs, ys):
     sxx = sum((x - mx) ** 2 for x in xs)
     syy = sum((y - my) ** 2 for y in ys)
     return sxy / math.sqrt(sxx * syy)
+
+
+def average_ranks(values):
+    """1-based ranks of ``values`` in stable sorted order, ties sharing the
+    mean of the ranks they span; NaN equals nothing, so it ties with nothing."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(len(values), dtype=np.float64)
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks

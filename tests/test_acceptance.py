@@ -43,7 +43,7 @@ from sedrec.weighting import EdgeCosts, WeightingScheme, rws_cost
 
 import mini_fixture
 from helpers import IDENTITY_PRUNE, graph_from_edges, lit, nt
-from oracles import enum_shortest_from
+from oracles import blocks_of, enum_shortest_from
 
 
 def report(number: int, ok: bool, description: str) -> None:
@@ -300,7 +300,7 @@ def test_11_snapshot_round_trip_on_random_pruned_graphs(tmp_path):
             min_out_degree=rng.choice((0, 0, 1, 2)),
             drop_leaves=rng.random() < 0.5,
         )
-        g = build_graph(triples, cfg)
+        g = build_graph(blocks_of(triples), cfg)
         first = tmp_path / f"g{i}a.snap"
         second = tmp_path / f"g{i}b.snap"
         save_snapshot(g, first)
@@ -319,7 +319,7 @@ def test_12_end_to_end_mini_pipeline():
     triples = [nt(u, "rel", v) for u, v in mf.EDGES]
     for node, title in mf.TITLES.items():
         triples.append(lit(node, "type.object.name", title, "en"))
-    kg = build_graph(triples, IDENTITY_PRUNE)
+    kg = build_graph(blocks_of(triples), IDENTITY_PRUNE)
     assert len(kg) == 30
 
     from sedrec.articles import Article

@@ -303,6 +303,23 @@ def test_evaluate_emits_metrics_and_correlations(
     assert (tmp_path / "metrics.csv.manifest.json").exists()
 
 
+def test_evaluate_csv_digests_are_pinned(synthetic_root, snapshot, tfidf_scores, tmp_path):
+    """``evaluate --scores sed,tfidf --ensemble sed,tfidf`` on the default
+    synthetic root, with default SED scores, writes these bytes."""
+    sed = tmp_path / "sed.csv"
+    assert main(["score", "--corpus", str(synthetic_root), "--kg", str(snapshot),
+                 "--annotations", str(synthetic_root / "entities.tsv"),
+                 "--out", str(sed)]) == 0
+    metrics, corr = tmp_path / "metrics.csv", tmp_path / "correlations.csv"
+    assert main(["evaluate", "--scores", f"{sed},{tfidf_scores}",
+                 "--cnrec", str(synthetic_root), "--ensemble", "sed,tfidf",
+                 "--out-metrics", str(metrics), "--out-correlations", str(corr)]) == 0
+    assert hashlib.sha256(metrics.read_bytes()).hexdigest() == (
+        "2dc1e55b7630e7c3d35e5b3a4ca839af3d3e8846fe7d5eb4749ab7780c2ae554")
+    assert hashlib.sha256(corr.read_bytes()).hexdigest() == (
+        "7ad2b18e186e45fc00727500fba1e5d5201d7f32aadd629e5c21dfeb7f5e66c7")
+
+
 @pytest.mark.parametrize("spec, named", [("tfidf,nosuch", "nosuch"),
                                          ("tfidf,tfidf", "tfidf")],
                          ids=["unknown", "repeated"])

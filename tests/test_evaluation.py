@@ -19,7 +19,9 @@ from sedrec.evaluation import (
     read_ratings_csv,
     write_ratings_csv,
 )
+from sedrec.evaluation import _average_ranks
 
+from oracles import average_ranks
 from oracles import pearson as pearson_oracle
 
 
@@ -161,6 +163,18 @@ def test_spearman_handles_ties_with_mean_ranks():
     # ranks x: 1.5, 1.5, 3; ranks y: 1, 2, 3
     xs, ys = [1.5, 1.5, 3.0], [1.0, 2.0, 3.0]
     assert s == pytest.approx(pearson_oracle(xs, ys))
+
+
+# few distinct values, so most draws hold ties; -0.0 ties with 0.0, NaN with nothing
+rank_values = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, math.nan, math.inf]),
+                        st.floats(allow_nan=True, allow_infinity=True))
+
+
+@given(st.lists(rank_values, max_size=60))
+@settings(max_examples=300)
+def test_average_ranks_equal_loop_oracle_bytes(values):
+    values = np.array(values, dtype=np.float64)
+    assert _average_ranks(values).tobytes() == average_ranks(values).tobytes()
 
 
 @given(st.lists(st.integers(-1250, 1250).map(float), min_size=4, max_size=30,

@@ -7,6 +7,7 @@ import random
 import struct
 import tracemalloc
 import weakref
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -20,6 +21,7 @@ from sedrec.kg import (
     KnowledgeGraph,
     ParseTally,
     PruneConfig,
+    TripleBlock,
     build_graph,
     load_snapshot,
     parse_ntriples,
@@ -30,14 +32,21 @@ from sedrec.kg import (
 from sedrec.subgraph import expand
 
 from helpers import IDENTITY_PRUNE, graph_from_edges, lit, nt, random_pruned_graphs
-from oracles import build_graph_lists, csr_argsort, parse_lines, snapshot_v1
+from oracles import (
+    blocks_of,
+    build_graph_lists,
+    csr_argsort,
+    parse_lines,
+    records_of,
+    snapshot_v1,
+)
 
 
 # ---------------------------------------------------------------- parsing
 
 def parse_text(text):
     tally = ParseTally()
-    records = list(parse_ntriples(io.BytesIO(text.encode()), tally))
+    records = list(records_of(parse_ntriples(io.BytesIO(text.encode()), tally)))
     return records, tally
 
 
@@ -84,14 +93,14 @@ def test_parse_bad_language_tag_counted():
 
 def test_parse_gzip_stream():
     payload = gzip.compress(b"<a> <p> <b> .\n")
-    records = list(parse_ntriples(io.BytesIO(payload)))
+    records = list(records_of(parse_ntriples(io.BytesIO(payload))))
     assert records == [nt("a", "p", "b")]
 
 
 def test_parse_from_path(tmp_path):
     p = tmp_path / "kg.nt"
     p.write_text("<a> <p> <b> .\n")
-    assert list(parse_ntriples(p)) == [nt("a", "p", "b")]
+    assert list(records_of(parse_ntriples(p))) == [nt("a", "p", "b")]
 
 
 class Unseekable(io.RawIOBase):
@@ -110,7 +119,8 @@ class Unseekable(io.RawIOBase):
 def test_parse_gzip_stream_that_cannot_seek():
     stream = Unseekable(gzip.compress(b"<a> <p> <b> .\n<a> <p> \"x\"@en .\n"))
     tally = ParseTally()
-    assert list(parse_ntriples(stream, tally)) == [nt("a", "p", "b"), lit("a", "p", "x", "en")]
+    records = list(records_of(parse_ntriples(stream, tally)))
+    assert records == [nt("a", "p", "b"), lit("a", "p", "x", "en")]
     assert tally == ParseTally(lines=2, records=2)
     # the caller's stream stays open
     assert not stream.closed
@@ -163,7 +173,7 @@ def test_block_parse_equals_line_oracle(dump):
     data, block = dump
     with mock.patch.object(kg, "_BLOCK_BYTES", block):
         tally = ParseTally()
-        got = list(parse_ntriples(io.BytesIO(data), tally))
+        got = list(records_of(parse_ntriples(io.BytesIO(data), tally)))
     want_tally = ParseTally()
     assert got == list(parse_lines(io.BytesIO(data), want_tally))
     assert tally == want_tally
@@ -180,14 +190,14 @@ def test_read_stoplist(tmp_path):
 def test_min_out_degree_removes_low_degree_node():
     triples = [nt("a", "p", f"b{i}") for i in range(19)]
     # give the b-nodes enough out-degree to survive on their own
-    g = build_graph(triples, PruneConfig(min_out_degree=20))
+    g = build_graph(blocks_of(triples), PruneConfig(min_out_degree=20))
     assert not g.has_node("a")
     assert len(g) == 0
 
 
 def test_min_out_degree_keeps_node_at_threshold():
     triples = [nt("a", "p", f"b{i}") for i in range(20)]
-    g = build_graph(triples, PruneConfig(min_out_degree=20, drop_leaves=False))
+    g = build_graph(blocks_of(triples), PruneConfig(min_out_degree=20, drop_leaves=False))
     # b-nodes have out-degree 0 and are removed, taking their edges with them
     assert not g.has_node("b0")
     assert not g.has_node("a") or g.degrees[g.node_index("a")] == 0
@@ -195,13 +205,13 @@ def test_min_out_degree_keeps_node_at_threshold():
 
 def test_identity_config_retains_everything():
     triples = [nt("a", "p", "b"), nt("b", "q", "c"), nt("c", "r", "a")]
-    g = build_graph(triples, IDENTITY_PRUNE)
+    g = build_graph(blocks_of(triples), IDENTITY_PRUNE)
     assert len(g) == 3 and g.num_edges == 3
 
 
 def test_parallel_predicates_collapse_to_one_edge():
     triples = [nt("a", "p1", "b"), nt("a", "p2", "b"), nt("b", "p3", "a")]
-    g = build_graph(triples, IDENTITY_PRUNE)
+    g = build_graph(blocks_of(triples), IDENTITY_PRUNE)
     assert g.num_edges == 1
     assert g.edge_predicates[0] == ("p1", "p2", "p3")
 
@@ -212,14 +222,14 @@ def test_english_only_drops_foreign_literals():
         lit("a", "type.object.name", "Apple", "en"),
         lit("a", "type.object.name", "Pomme", "fr"),
     ]
-    g = build_graph(triples, PruneConfig(english_only=True, min_out_degree=0))
+    g = build_graph(blocks_of(triples), PruneConfig(english_only=True, min_out_degree=0))
     assert g.title(g.node_index("a")) == "Apple"
 
 
 def test_stoplist_removes_node_and_incident_edges():
     triples = [nt("a", "p", "b"), nt("b", "p", "c"), nt("c", "p", "a")]
     cfg = PruneConfig(min_out_degree=0, stoplist=frozenset({"b"}))
-    g = build_graph(triples, cfg)
+    g = build_graph(blocks_of(triples), cfg)
     assert sorted(g.ids) == ["a", "c"]
     assert g.num_edges == 1
 
@@ -230,19 +240,19 @@ def test_drop_leaves_prunes_chain_to_cycle():
         nt("a", "p", "b"), nt("b", "p", "c"), nt("c", "p", "a"),
         nt("c", "p", "d"), nt("d", "p", "e"),
     ]
-    g = build_graph(triples, PruneConfig(min_out_degree=0, drop_leaves=True))
+    g = build_graph(blocks_of(triples), PruneConfig(min_out_degree=0, drop_leaves=True))
     assert sorted(g.ids) == ["a", "b", "c"]
     assert all(d >= 2 for d in g.degrees)
 
 
 def test_drop_leaves_removes_pure_chain_entirely():
     triples = [nt("a", "p", "b"), nt("b", "p", "c")]
-    g = build_graph(triples, PruneConfig(min_out_degree=0, drop_leaves=True))
+    g = build_graph(blocks_of(triples), PruneConfig(min_out_degree=0, drop_leaves=True))
     assert len(g) == 0
 
 
 def test_self_loops_never_enter_graph():
-    g = build_graph([nt("a", "p", "a"), nt("a", "p", "b")], IDENTITY_PRUNE)
+    g = build_graph(blocks_of([nt("a", "p", "a"), nt("a", "p", "b")]), IDENTITY_PRUNE)
     assert g.num_edges == 1
     assert g.edge_endpoints[0] == (g.node_index("a"), g.node_index("b")) or \
         g.edge_endpoints[0] == (g.node_index("b"), g.node_index("a"))
@@ -259,7 +269,7 @@ def test_title_prefers_english_name():
         lit("a", "type.object.name", "Sans Titre", "fr"),
         lit("a", "type.object.name", "Proper Title", "en"),
     ]
-    g = build_graph(triples, IDENTITY_PRUNE)
+    g = build_graph(blocks_of(triples), IDENTITY_PRUNE)
     assert g.title(g.node_index("a")) == "Proper Title"
 
 
@@ -268,13 +278,13 @@ def test_full_uri_name_predicate_recognized():
         nt("a", "p", "b"),
         lit("a", "http://rdf.freebase.com/ns/type.object.name", "Apple", "en"),
     ]
-    g = build_graph(triples, IDENTITY_PRUNE)
+    g = build_graph(blocks_of(triples), IDENTITY_PRUNE)
     assert g.title(g.node_index("a")) == "Apple"
 
 
 def test_prune_stats_recorded():
     triples = [nt("a", "p", "b"), lit("a", "type.object.name", "A", "en")]
-    g = build_graph(triples, IDENTITY_PRUNE)
+    g = build_graph(blocks_of(triples), IDENTITY_PRUNE)
     names = [p.name for p in g.prune_stats.passes]
     assert names == ["input", "english", "stoplist", "out-degree", "leaves"]
     assert g.prune_stats.collapsed_edges == 1
@@ -298,7 +308,7 @@ def test_prune_stats_count_every_pass():
     ]
     cfg = PruneConfig(english_only=True, min_out_degree=2, stoplist=frozenset({"s"}),
                       drop_leaves=True)
-    g = build_graph(triples, cfg)
+    g = build_graph(blocks_of(triples), cfg)
     passes = g.prune_stats.passes
     assert [(p.name, p.nodes, p.node_triples, p.literal_triples) for p in passes] == [
         ("input", 9, 11, 10),
@@ -347,7 +357,7 @@ def test_synthetic_snapshot_bytes_are_pinned(synthetic_root, tmp_path, min_out_d
 # ------------------------------------------------------- graph structure
 
 def test_closed_neighborhood_isolated_node():
-    g = build_graph([lit("n", "type.object.name", "N", "en")], IDENTITY_PRUNE)
+    g = build_graph(blocks_of([lit("n", "type.object.name", "N", "en")]), IDENTITY_PRUNE)
     n = g.node_index("n")
     assert g.closed_neighborhood(n) == {n}
 
@@ -518,7 +528,7 @@ def test_title_lookup_is_case_insensitive_lowest_index():
         lit("a", "type.object.name", "Ebola", "en"),
         lit("c", "type.object.name", "EBOLA", "en"),
     ]
-    g = build_graph(triples, IDENTITY_PRUNE)
+    g = build_graph(blocks_of(triples), IDENTITY_PRUNE)
     assert g.title_to_node("ebola") == min(g.node_index("a"), g.node_index("c"))
     assert g.title_to_node("absent") is None
 
@@ -526,7 +536,7 @@ def test_title_lookup_is_case_insensitive_lowest_index():
 # ------------------------------------------------------------- snapshots
 
 def test_snapshot_round_trip_empty(tmp_path):
-    g = build_graph([], IDENTITY_PRUNE)
+    g = build_graph(blocks_of([]), IDENTITY_PRUNE)
     path = tmp_path / "empty.snap"
     save_snapshot(g, path)
     assert load_snapshot(path) == g
@@ -707,8 +717,8 @@ def test_v1_and_v2_snapshots_load_to_the_same_graph(synthetic_root, tmp_path):
 def test_build_graph_deterministic_bytes(tmp_path):
     triples = [nt("b", "p", "a"), nt("a", "q", "c"), nt("c", "p", "b")]
     p1, p2 = tmp_path / "g1.snap", tmp_path / "g2.snap"
-    save_snapshot(build_graph(triples, IDENTITY_PRUNE), p1)
-    save_snapshot(build_graph(list(triples), IDENTITY_PRUNE), p2)
+    save_snapshot(build_graph(blocks_of(triples), IDENTITY_PRUNE), p1)
+    save_snapshot(build_graph(blocks_of(triples, 1), IDENTITY_PRUNE), p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -781,7 +791,7 @@ triple_lists = st.lists(
 
 @given(triple_lists)
 def test_random_graphs_satisfy_invariants(raw):
-    g = build_graph([nt(*t) for t in raw], IDENTITY_PRUNE)
+    g = build_graph(blocks_of(nt(*t) for t in raw), IDENTITY_PRUNE)
     g.validate()
 
 
@@ -789,7 +799,7 @@ def test_random_graphs_satisfy_invariants(raw):
 @settings(max_examples=60)
 def test_drop_leaves_leaves_min_degree_two(raw, english):
     cfg = PruneConfig(english_only=english, min_out_degree=0, drop_leaves=True)
-    g = build_graph([nt(*t) for t in raw], cfg)
+    g = build_graph(blocks_of(nt(*t) for t in raw), cfg)
     g.validate()
     assert all(d >= 2 for d in g.degrees)
 
@@ -797,7 +807,7 @@ def test_drop_leaves_leaves_min_degree_two(raw, english):
 @given(raw=triple_lists)
 @settings(max_examples=40)
 def test_snapshot_round_trip_random(tmp_path_factory, raw):
-    g = build_graph([nt(*t) for t in raw], IDENTITY_PRUNE)
+    g = build_graph(blocks_of(nt(*t) for t in raw), IDENTITY_PRUNE)
     d = tmp_path_factory.mktemp("snaps")
     save_snapshot(g, d / "a.snap")
     g2 = load_snapshot(d / "a.snap")
@@ -846,7 +856,7 @@ PENDANT_STREAM = ([nt(f"c{i}", "p", f"c{(i + 1) % 5}") for i in range(5)]
 
 
 def assert_same_as_oracle(records, cfg):
-    got = build_graph(iter(records), cfg)
+    got = build_graph(blocks_of(records, 5), cfg)
     want = build_graph_lists(records, cfg)
     assert got == want
     assert got.prune_stats == want.prune_stats
@@ -921,25 +931,21 @@ def test_build_graph_from_parse_equals_oracle_on_synthetic_dump(cfg, synthetic_r
 
 
 def test_build_graph_on_a_parse_makes_no_record(monkeypatch, synthetic_root):
-    """``build_graph`` reads a parse's block columns: it makes no TripleRecord,
-    and on a dump the block pattern takes whole, it sends no line through the
-    per-line rules. The record view, which the patch reaches, makes records."""
+    """``build_graph`` reads a parse's block columns: on a dump the block
+    pattern takes whole, it sends no line through the per-line rules."""
     path = synthetic_root / "kg.nt"
     cfg = PruneConfig(english_only=True, min_out_degree=0)
-    want = build_graph(list(parse_ntriples(path)), cfg)
+    want = build_graph_lists(list(parse_lines(path)), cfg)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("made a record or ran the per-line rules")
+        raise AssertionError("ran the per-line rules")
 
-    monkeypatch.setattr(kg.TripleRecord, "__init__", refuse)
     monkeypatch.setattr(kg, "_line_row", refuse)
     assert build_graph(parse_ntriples(path), cfg) == want
-    with pytest.raises(AssertionError, match="record"):
-        next(iter(parse_ntriples(path)))
 
 
 def test_block_parse_memory_does_not_grow_with_the_dump(tmp_path, monkeypatch):
-    """Draining ``blocks()`` peaks within the same multiple of the block size
+    """Draining ``parse_ntriples`` peaks within the same multiple of the block size
     on a dump four times the size of another, and far below the larger dump."""
     block = 1 << 14
     monkeypatch.setattr(kg, "_BLOCK_BYTES", block)
@@ -956,7 +962,7 @@ def test_block_parse_memory_does_not_grow_with_the_dump(tmp_path, monkeypatch):
         gc.collect()
         tracemalloc.start()
         try:
-            for _ in parse_ntriples(path).blocks():
+            for _ in parse_ntriples(path):
                 pass
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
@@ -965,30 +971,38 @@ def test_block_parse_memory_does_not_grow_with_the_dump(tmp_path, monkeypatch):
     assert max(peaks) < 16 * block < sizes[1] / 2
 
 
-def test_build_graph_keeps_no_record():
-    live = 0
-    peak = 0
-    refs = []
+class Column(list):
+    """A block column that a weak reference can follow."""
 
-    def died(_):
+
+def test_build_graph_keeps_no_record():
+    """Of a streamed block generator, ``build_graph`` holds at most two blocks:
+    the one being yielded and the one it still reads. A block is held while
+    any of its columns lives."""
+    records = [nt(f"n{i % 400}", f"p{i % 7}", f"n{(i * 37) % 400}") if i % 3 else
+               lit(f"n{i % 400}", NAME, f"Name {i}", ("en", "fr", None)[i % 5 % 3])
+               for i in range(3000)]
+    columns, refs = [], []  # live columns per block yielded, and their weak refs
+    live = peak = 0
+
+    def died(block, _):
         nonlocal live
-        live -= 1
+        columns[block] -= 1
+        if not columns[block]:
+            live -= 1
 
     def stream():
         nonlocal live, peak
-        for i in range(3000):
-            if i % 3:
-                rec = nt(f"n{i % 400}", f"p{i % 7}", f"n{(i * 37) % 400}")
-            else:
-                rec = lit(f"n{i % 400}", NAME, f"Name {i}", ("en", "fr", None)[i % 5 % 3])
-            refs.append(weakref.ref(rec, died))
+        for b in blocks_of(records, 100):
+            cols = [Column(c) for c in b[1:]]
+            refs.extend(weakref.ref(c, partial(died, len(columns))) for c in cols)
+            columns.append(len(cols))
             live += 1
             peak = max(peak, live)
-            yield rec
+            yield TripleBlock(b.seq, *cols)
 
     cfg = PruneConfig(english_only=True, min_out_degree=3, drop_leaves=True)
     g = build_graph(stream(), cfg)
-    # the record being yielded and the one build_graph still holds
     assert peak <= 2
-    assert len(refs) == 3000 and len(g) > 0
-    assert g == build_graph_lists(list(stream()), cfg)
+    assert len(columns) == 30 and live == 0 and len(g) > 0
+    assert g == build_graph_lists(records, cfg)
