@@ -27,6 +27,11 @@ Blank and comment lines, other whitespace, non-ASCII IRIs, bad tags and
 every line of a block that is not valid UTF-8 go through the per-line rules.
 
 The array primitives ``distinct``, ``_csr`` and ``peel`` serve ingest, expansion and core graphs.
+``distinct`` is the one sorted-distinct primitive: ``_distinct`` dedupes the
+rows of several columns by packing each row into one int64 key for it. A
+graph whose keys would pass ``2**63`` (about 3.04e9 distinct node
+identifiers, or distinct node pairs times predicates) raises
+``InputDataError`` instead of wrapping.
 """
 
 from __future__ import annotations
@@ -78,10 +83,6 @@ def _escaped(m: re.Match) -> str:
     if esc[0] in ("u", "U"):
         return chr(int(esc[1:], 16))
     return _SIMPLE_ESCAPES[esc]
-
-
-def _unescape(value: str) -> str:
-    return _UNESCAPE_RE.sub(_escaped, value) if "\\" in value else value
 
 
 class TripleBlock(NamedTuple):
@@ -180,7 +181,12 @@ def _line_rows(rows: Iterable[tuple], lines: list[bytes], first: int,
 def _read_block(stream: BinaryIO, tally: ParseTally) -> TripleBlock | None:
     """The triples of the next block of ``stream``, about ``_BLOCK_BYTES``
     and the rest of the line they end in, as columns; None at the end of the
-    stream."""
+    stream.
+
+    ``findall`` gives one row per line, so the rows count the lines of a
+    decoded block; only a block that is not valid UTF-8 is split to count
+    them. Python steps only through the literal values that hold a
+    backslash, to unescape them."""
     data = stream.read(_BLOCK_BYTES)
     if not data:
         return None
@@ -189,19 +195,24 @@ def _read_block(stream: BinaryIO, tally: ParseTally) -> TripleBlock | None:
     # a final newline, so the search stops before it
     end = len(data) - data.endswith(b"\n")
     first = tally.lines + 1
-    tally.lines += data.count(b"\n", 0, end) + 1
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError:
-        rows = _line_rows(repeat(_REFUSED), data[:end].split(b"\n"), first, tally.errors)
+        lines = data[:end].split(b"\n")
+        tally.lines += len(lines)
+        rows = _line_rows(repeat(_REFUSED), lines, first, tally.errors)
     else:
         rows = _BLOCK_RE.findall(text, 0, len(text) - text.endswith("\n"))
+        tally.lines += len(rows)
         if _REFUSED in rows:
             rows = _line_rows(rows, data[:end].split(b"\n"), first, tally.errors)
     seq = tally.records
     tally.records += len(rows)
     subject, predicate, obj, literal, value, lang = list(zip(*rows)) or [()] * 6
-    return TripleBlock(seq, subject, predicate, obj, literal, list(map(_unescape, value)), lang)
+    value = list(value)
+    for i in compress(range(len(value)), map(str.__contains__, value, repeat("\\"))):
+        value[i] = _UNESCAPE_RE.sub(_escaped, value[i])
+    return TripleBlock(seq, subject, predicate, obj, literal, value, lang)
 
 
 def parse_ntriples(source, tally: ParseTally | None = None) -> Iterator[TripleBlock]:
@@ -307,11 +318,45 @@ def distinct(keys: np.ndarray) -> np.ndarray:
 
 
 def _distinct(*cols: np.ndarray) -> list[np.ndarray]:
-    """The distinct rows of equal-length integer columns, in lexicographic order."""
-    order = np.lexsort(cols[::-1])
-    cols = [c[order] for c in cols]
-    first = _run_starts(*cols)
-    return [c[first] for c in cols]
+    """The distinct rows of equal-length non-negative int64 columns, in
+    lexicographic order: one ``distinct`` of a packed int64 key.
+
+    The first column is the key as it is (node ids are dense). Each later
+    column ``c`` folds in as ``prefix * (c.max() + 1) + c``, where ``prefix``
+    is the key itself for the second column and its dense rank (one
+    ``argsort``) after that; ``divmod`` and the ranked keys' heads unpack it.
+
+    Each fold's largest key is checked in Python ints first. Two columns of
+    ids below ``n`` pack while ``n * n <= 2**63``, about 3.04e9 distinct node
+    identifiers; a third while the distinct pairs times its range, at most
+    rows × predicates, stays within ``2**63``. Past that, ``InputDataError``
+    names the limit, and no key wraps.
+    """
+    key, folds = cols[0], []
+    for i, c in enumerate(cols[1:]):
+        heads = None
+        if i:
+            order = np.argsort(key)
+            ranked = key[order]
+            first = _run_starts(ranked)
+            heads, key = ranked[first], np.empty_like(key)
+            key[order] = np.cumsum(first) - 1
+        span, base = int(key.max(initial=0)) + 1, int(c.max(initial=0)) + 1
+        if span * base > 2 ** 63:
+            raise InputDataError(
+                f"graph too large: deduplicating {span} x {base} values passes the int64 "
+                f"key limit 2**63 (about 3.04e9 distinct node identifiers, or rows x "
+                f"predicates)")
+        key = key * base + c
+        folds.append((heads, base))
+    key = distinct(key)
+    out = []
+    for heads, base in reversed(folds):
+        key, last = np.divmod(key, base)
+        out.append(last)
+        if heads is not None:
+            key = heads[key]
+    return [key, *reversed(out)]
 
 
 @dataclass
@@ -398,9 +443,13 @@ def _ranks(strings: list[str], ids: Iterable[int]) -> tuple[list[int], np.ndarra
 
 def _number(ids: dict, keys: Sequence) -> Iterator[int]:
     """Each key's id in ``ids``, after numbering the keys it lacks in their
-    first-seen order; every loop runs in C."""
-    fresh = list(filterfalse(ids.__contains__, dict.fromkeys(keys)))
-    ids.update(zip(fresh, count(len(ids))))
+    first-seen order, so the ids stay dense: ``0 .. len(ids) - 1``.
+
+    The filter is lazy, so a key repeated within ``keys`` is numbered at its
+    first occurrence and found at the later ones; Python steps only through
+    the keys that get a new id."""
+    for key in filterfalse(ids.__contains__, keys):
+        ids[key] = len(ids)
     return map(ids.__getitem__, keys)
 
 

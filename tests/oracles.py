@@ -16,6 +16,8 @@ own copies of the per-line patterns; the block parser must equal it. It
 yields ``TripleRecord``s, one object per triple, a form the package does not
 use: ``records_of`` flattens the parse's block columns into records, and
 ``blocks_of`` cuts records into the columns ``kg.build_graph`` reads.
+``distinct_rows_lexsort`` dedupes rows through ``np.lexsort``, which
+``kg._distinct`` replaces with one packed int64 key.
 ``average_ranks`` is the tie-averaging rank loop that
 ``evaluation._average_ranks`` replaces with one mask over the sorted values.
 """
@@ -140,6 +142,18 @@ def csr_argsort(u, v, n):
     order = np.argsort(ends, kind="stable")
     indptr = np.searchsorted(ends[order], np.arange(n + 1))
     return indptr, np.concatenate([u, v])[order], order - len(u) * (order >= len(u))
+
+
+def distinct_rows_lexsort(*cols):
+    """``kg._distinct`` by one ``np.lexsort`` of the columns, last column
+    least significant, and a first-of-run mask over every column."""
+    order = np.lexsort(cols[::-1])
+    cols = [c[order] for c in cols]
+    first = np.zeros(len(order), dtype=bool)
+    first[:1] = True
+    for c in cols:
+        first[1:] |= c[1:] != c[:-1]
+    return [c[first] for c in cols]
 
 
 def joint_ic_loop(g):

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sedrec import kg
-from sedrec.errors import SnapshotError, UnknownNodeError
+from sedrec.errors import InputDataError, SnapshotError, UnknownNodeError
 from sedrec.kg import (
     KnowledgeGraph,
     ParseTally,
@@ -36,6 +36,7 @@ from oracles import (
     blocks_of,
     build_graph_lists,
     csr_argsort,
+    distinct_rows_lexsort,
     parse_lines,
     records_of,
     snapshot_v1,
@@ -778,6 +779,65 @@ def test_peel_matches_one_at_a_time_on_random_graphs():
         edges = rng.sample(pairs, rng.randint(0, min(len(pairs), 2 * size)))
         pinned = rng.sample(range(size), rng.randint(0, min(size, 3)))
         check_peel(size, pinned, edges)
+
+
+@st.composite
+def row_columns(draw):
+    """Two or three non-negative int64 columns, maybe empty, with repeated
+    rows; each column's values are small or near the largest that packs: the
+    first two fold to at most ``2**63`` keys, and a third times at most 40
+    distinct pairs stays below it."""
+    caps = [draw(st.sampled_from([3, cap])) for cap in
+            (2 ** 32 - 1, 2 ** 31 - 1, 2 ** 56)[:draw(st.sampled_from([2, 3]))]]
+    rows = draw(st.lists(st.tuples(*(st.one_of(st.integers(0, 3), st.integers(cap - 3, cap))
+                                     for cap in caps)), max_size=30))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=10)) if rows else []
+    return list(np.array(rows, dtype=np.int64).reshape(-1, len(caps)).T.copy())
+
+
+@given(cols=row_columns())
+@settings(max_examples=300)
+def test_distinct_rows_equal_the_lexsort_oracle(cols):
+    got = kg._distinct(*cols)
+    want = distinct_rows_lexsort(*cols)
+    assert len(got) == len(want) == len(cols)
+    for g, w in zip(got, want):
+        assert g.dtype == np.int64
+        np.testing.assert_array_equal(g, w)
+
+
+@pytest.mark.parametrize("cols, fits", [
+    (([2 ** 32 - 1, 0], [2 ** 31 - 1, 5]), True),
+    (([2 ** 32], [2 ** 31 - 1]), False),
+    (([3 * 10 ** 9], [3 * 10 ** 9]), True),
+    (([31 * 10 ** 8], [31 * 10 ** 8]), False),
+    (([0, 1], [0, 0], [2 ** 62 - 1, 0]), True),
+    (([0, 1], [0, 0], [2 ** 62, 0]), False),
+], ids=["two-at-limit", "two-past", "3.0e9-ids", "3.1e9-ids", "three-at-limit", "three-past"])
+def test_distinct_refuses_a_key_past_int64(cols, fits):
+    cols = [np.array(c, dtype=np.int64) for c in cols]
+    if fits:
+        for g, w in zip(kg._distinct(*cols), distinct_rows_lexsort(*cols)):
+            np.testing.assert_array_equal(g, w)
+    else:
+        with pytest.raises(InputDataError, match=r"int64 key limit 2\*\*63"):
+            kg._distinct(*cols)
+
+
+def test_number_gives_dense_ids_in_first_seen_order():
+    ids = {}
+    assert list(kg._number(ids, ("b", "a", "b", "c", "a"))) == [0, 1, 0, 2, 1]
+    assert list(kg._number(ids, [])) == []
+    assert list(kg._number(ids, ["d", "a", "d", "e", "b"])) == [3, 1, 3, 4, 0]
+    assert ids == {"b": 0, "a": 1, "c": 2, "d": 3, "e": 4}
+    rng = random.Random(5)
+    ids, want = {}, {}
+    for _ in range(50):
+        keys = [(rng.choice("xyz" * 3 + "uvw"), rng.choice(["", "en"]))
+                for _ in range(rng.randint(0, 12))]
+        assert list(kg._number(ids, keys)) == [want.setdefault(k, len(want)) for k in keys]
+        assert list(ids.items()) == list(want.items())
+    assert sorted(ids.values()) == list(range(len(ids)))
 
 
 # ------------------------------------------------------------ properties
