@@ -12,9 +12,9 @@ import argparse
 import csv
 import hashlib
 import json
-import logging
 import os
 import sys
+import traceback
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -57,7 +57,6 @@ from .weighting import WeightingScheme
 
 KG_ENV_VAR = "SEDREC_KG"
 UNHASHED = "unhashed: not a regular file"
-LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
 
 
 # ------------------------------------------------------------- manifests
@@ -366,9 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Entity-graph shortest-distance scoring pipeline",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    parser.add_argument("--log-level", choices=LOG_LEVELS, default="WARNING",
-                        help="least severe log record written to stderr; DEBUG also "
-                             "prints the traceback of an internal error")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="parse and prune a triple dump into a snapshot")
@@ -433,14 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # the package's records go to stderr for this run only, so a caller's
-    # logging set-up is as it was when main returns
-    package = logging.getLogger(__package__)
-    handler = logging.StreamHandler(sys.stderr)
-    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
-    level = package.level
-    package.addHandler(handler)
-    package.setLevel(args.log_level)
     try:
         return args.func(args)
     except InputDataError as exc:
@@ -452,13 +440,10 @@ def main(argv=None) -> int:
     except OSError as exc:  # a path that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:
+    except Exception as exc:  # a bug: its traceback is what a report needs
+        traceback.print_exc()
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        package.debug("traceback of the internal error", exc_info=True)
         return 1
-    finally:
-        package.removeHandler(handler)
-        package.setLevel(level)
 
 
 if __name__ == "__main__":

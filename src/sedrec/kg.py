@@ -30,8 +30,8 @@ The array primitives ``distinct``, ``_csr`` and ``peel`` serve ingest, expansion
 ``distinct`` is the one sorted-distinct primitive: ``_distinct`` dedupes the
 rows of several columns by packing each row into one int64 key for it. A
 graph whose keys would pass ``2**63`` (about 3.04e9 distinct node
-identifiers, or distinct node pairs times predicates) raises
-``InputDataError`` instead of wrapping.
+identifiers, node ids times distinct literals, or distinct node pairs times
+predicates) raises ``InputDataError`` instead of wrapping.
 """
 
 from __future__ import annotations
@@ -326,11 +326,17 @@ def _distinct(*cols: np.ndarray) -> list[np.ndarray]:
     is the key itself for the second column and its dense rank (one
     ``argsort``) after that; ``divmod`` and the ranked keys' heads unpack it.
 
-    Each fold's largest key is checked in Python ints first. Two columns of
-    ids below ``n`` pack while ``n * n <= 2**63``, about 3.04e9 distinct node
-    identifiers; a third while the distinct pairs times its range, at most
-    rows × predicates, stays within ``2**63``. Past that, ``InputDataError``
-    names the limit, and no key wraps.
+    Each fold's largest key is checked in Python ints first, so the callers
+    pack while these products stay within ``2**63``:
+
+    - node ids × node ids (the out-degree pass over node objects, the leaf
+      pass, the collapse's pairs): about 3.04e9 distinct node identifiers;
+    - node ids × distinct ``(value, lang)`` literals (the out-degree pass
+      over literal objects);
+    - distinct node pairs × predicates (the collapse's third column).
+
+    Past that, ``InputDataError`` names the two factors and the limits, and
+    no key wraps.
     """
     key, folds = cols[0], []
     for i, c in enumerate(cols[1:]):
@@ -343,10 +349,12 @@ def _distinct(*cols: np.ndarray) -> list[np.ndarray]:
             key[order] = np.cumsum(first) - 1
         span, base = int(key.max(initial=0)) + 1, int(c.max(initial=0)) + 1
         if span * base > 2 ** 63:
+            lead = f"distinct rows of columns 1-{i + 1}" if i else "values of column 1"
             raise InputDataError(
-                f"graph too large: deduplicating {span} x {base} values passes the int64 "
-                f"key limit 2**63 (about 3.04e9 distinct node identifiers, or rows x "
-                f"predicates)")
+                f"graph too large: deduplicating rows needs {span} x {base} int64 keys "
+                f"({span} {lead} x {base} values of column {i + 2}), past the limit "
+                f"2**63; the limits are about 3.04e9 node identifiers, node ids x "
+                f"distinct literals, and distinct node pairs x predicates")
         key = key * base + c
         folds.append((heads, base))
     key = distinct(key)

@@ -442,46 +442,19 @@ def test_version_flag(capsys):
     assert exc.value.code == 0
 
 
-@pytest.mark.parametrize("level, traceback", [(None, False), ("WARNING", False),
-                                              ("DEBUG", True)])
-def test_internal_error_traceback_only_at_debug(synthetic_root, tmp_path, capsys, monkeypatch,
-                                                level, traceback):
+def test_internal_error_prints_traceback(synthetic_root, tmp_path, capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise RuntimeError("boom")
 
     monkeypatch.setattr(cli, "build_graph", boom)
-    args = ["--log-level", level] if level else []
-    rc = main([*args, "ingest", "--triples", str(synthetic_root / "kg.nt"),
+    rc = main(["ingest", "--triples", str(synthetic_root / "kg.nt"),
                "--out", str(tmp_path / "x.snap")])
     assert rc == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert "internal error: RuntimeError: boom" in err
-    assert ("Traceback (most recent call last)" in err) is traceback
-    assert ("DEBUG sedrec: traceback of the internal error" in err) is traceback
-
-
-def test_log_level_changes_only_stderr(synthetic_root, sed_scores, tfidf_scores, tmp_path,
-                                       capsys):
-    """Stdout, output files and manifests are the same at every level; the
-    package's records go to stderr from the level given."""
-    snap, metrics = tmp_path / "kg.snap", tmp_path / "metrics.csv"
-    runs = []
-    for level in ("ERROR", "WARNING", "DEBUG"):
-        assert main(["--log-level", level, "ingest", "--triples", str(synthetic_root / "kg.nt"),
-                     "--english-only", "--min-out-degree", "2", "--drop-leaves",
-                     "--stoplist", str(synthetic_root / "stoplist.txt"), "--out", str(snap)]) == 0
-        assert main(["--log-level", level, "compare", "--scores", f"{sed_scores},{tfidf_scores}",
-                     "--cnrec", str(synthetic_root), "--conditions", "GR@.5,GR@.6",
-                     "--out", str(metrics)]) == 0
-        out, err = capsys.readouterr()
-        manifests = [json.loads(Path(f"{p}.manifest.json").read_text()) for p in (snap, metrics)]
-        for m in manifests:
-            del m["created"]
-        runs.append((out, snap.read_bytes(), metrics.read_bytes(), manifests))
-        warned = "WARNING sedrec.evaluation: non-standard condition threshold 0.6" in err
-        assert warned is (level != "ERROR")
-    assert runs[0] == runs[1] == runs[2]
+    assert err.startswith("Traceback (most recent call last)")
+    assert err.endswith("internal error: RuntimeError: boom\n")
+    assert not (tmp_path / "x.snap").exists()
 
 
 def test_ingest_accepts_gzip_triples(synthetic_root, tmp_path):
