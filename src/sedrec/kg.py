@@ -670,9 +670,6 @@ class KnowledgeGraph:
             raise UnknownNodeError(f"node index {node} out of range")
         return node
 
-    def title(self, node: int | str) -> str:
-        return self.titles[self.resolve(node)]
-
     def neighbors(self, node: int | str) -> tuple[tuple[int, int], ...]:
         """Sorted (neighbor, edge index) pairs for ``node``."""
         node = self.resolve(node)
@@ -734,7 +731,8 @@ class KnowledgeGraph:
             raise ValueError("predicate table holds a predicate no edge carries")
 
 
-# Snapshot layout, version 2; every integer is little-endian and unsigned.
+# Snapshot layout, version 2, the only version read; every integer is
+# little-endian and unsigned.
 #   header   _HEADER: magic, version, then the node, edge, predicate and
 #            predicate-reference counts
 #   strings  each table of _TABLES in turn: one block of its strings' UTF-8
@@ -742,18 +740,12 @@ class KnowledgeGraph:
 #   columns  each of _COLUMNS in turn, one block
 # A block of k values is k _U4 integers; each table and column is as long as
 # the header count its entry names. The file ends after the last column.
-# Version 1, still read, has the same header without the reference count and
-# each string's length right before its bytes; then per edge an _EDGE_V1
-# record (u, v, predicate count) and the edge's predicate ids as _U32.
 _MAGIC = b"SEDKGRPH"
 _VERSION = 2
 _HEADER = struct.Struct("<8sIIIII")
 _U4 = np.dtype("<u4")
 _TABLES = (("ids", 0), ("titles", 0), ("predicates", 2))
 _COLUMNS = (("edge_u", 1), ("edge_v", 1), ("pred_count", 1), ("pred_ids", 3))
-_HEADER_V1 = struct.Struct("<8sIIII")
-_U32 = struct.Struct("<I")
-_EDGE_V1 = struct.Struct("<IIH")
 
 
 def _pack_u4(name: str, values) -> bytes:
@@ -789,9 +781,9 @@ def _unpack_u4(buf: bytes, pos: int, count: int) -> tuple[np.ndarray, int]:
     return np.frombuffer(buf, _U4, count, pos).astype(np.int64), end
 
 
-def _read_v2(buf: bytes) -> tuple[dict, int]:
-    """``from_columns``'s arguments from a version 2 snapshot, and the position after them."""
-    _, _, *counts = _HEADER.unpack_from(buf)
+def _read_body(buf: bytes, counts: Sequence[int]) -> tuple[dict, int]:
+    """``from_columns``'s arguments from the tables and columns after the
+    header, whose ``counts`` size them, and the position after them."""
     pos, fields = _HEADER.size, {}
     for name, size in _TABLES:
         lengths, pos = _unpack_u4(buf, pos, counts[size])
@@ -806,48 +798,21 @@ def _read_v2(buf: bytes) -> tuple[dict, int]:
     return fields, pos
 
 
-def _read_v1(buf: bytes) -> tuple[dict, int]:
-    """``from_columns``'s arguments from a version 1 snapshot, and the position after them."""
-    _, _, n_nodes, n_edges, n_preds = _HEADER_V1.unpack_from(buf)
-    pos = _HEADER_V1.size
-    strings = []
-    for _ in range(2 * n_nodes + n_preds):
-        (size,) = _U32.unpack_from(buf, pos)
-        pos += _U32.size + size
-        if pos > len(buf):
-            raise SnapshotError("truncated snapshot file")
-        strings.append(buf[pos - size:pos].decode("utf-8"))
-    edge_u, edge_v, pred_ptr, preds = array("q"), array("q"), array("q", [0]), bytearray()
-    for _ in range(n_edges):
-        u, v, k = _EDGE_V1.unpack_from(buf, pos)
-        edge_u.append(u)
-        edge_v.append(v)
-        pred_ptr.append(pred_ptr[-1] + k)
-        pos += _EDGE_V1.size + _U32.size * k
-        preds += buf[pos - _U32.size * k:pos]
-    fields = dict(zip(("edge_u", "edge_v", "pred_ptr"), (
-        np.frombuffer(c, dtype=np.int64) for c in (edge_u, edge_v, pred_ptr))))
-    fields.update(ids=strings[:n_nodes], titles=strings[n_nodes:2 * n_nodes],
-                  predicates=strings[2 * n_nodes:],
-                  pred_ids=np.frombuffer(preds, dtype="<u4").astype(np.int64))
-    return fields, pos
-
-
-_READERS = {1: _read_v1, 2: _read_v2}
-
-
 def load_snapshot(path) -> KnowledgeGraph:
-    """Load a snapshot of either version; raise SnapshotError if corrupt."""
+    """Load a version 2 snapshot; raise SnapshotError if it is corrupt or of
+    another version."""
     with open(path, "rb") as fh:
         buf = fh.read()
     magic = buf[:len(_MAGIC)]
     if magic != _MAGIC:
         raise SnapshotError(f"not a graph snapshot (magic {magic!r})")
+    (version,), _ = _unpack_u4(buf, len(_MAGIC), 1)
+    if version != _VERSION:
+        raise SnapshotError(f"unsupported snapshot version {version}; run `sedrec ingest` "
+                            f"again to write a version {_VERSION} snapshot")
     try:
-        (version,) = _U32.unpack_from(buf, len(_MAGIC))
-        if version not in _READERS:
-            raise SnapshotError(f"unsupported snapshot version {version}")
-        fields, pos = _READERS[version](buf)
+        _, _, *counts = _HEADER.unpack_from(buf)
+        fields, pos = _read_body(buf, counts)
     except struct.error:
         raise SnapshotError("truncated snapshot file") from None
     except UnicodeDecodeError:

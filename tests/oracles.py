@@ -9,8 +9,7 @@ definition, the frequency tables are the
 per-predicate loops of theirs, the pruned graph is built from a list of
 every record with set-based passes, the CSR rows come from one stable
 argsort of both edge ends, and the article-distance aggregates follow
-their definitions directly. The version 1 snapshot writer, which
-``kg.load_snapshot`` still reads, packs one edge record at a time.
+their definitions directly.
 ``parse_lines`` is the N-Triples parser that ran one line at a time, with its
 own copies of the per-line patterns; the block parser must equal it. It
 yields ``TripleRecord``s, one object per triple, a form the package does not
@@ -28,7 +27,6 @@ import gzip
 import heapq
 import math
 import re
-import struct
 import zlib
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
@@ -393,22 +391,6 @@ def build_graph_lists(triples, cfg):
     predicates = tuple(tuple(sorted(edge_map[k])) for k in endpoints)
     stats.collapsed_edges = len(endpoints)
     return KnowledgeGraph(ids, titles, endpoints, predicates, prune_stats=stats)
-
-
-def snapshot_v1(g):
-    """Version 1 snapshot bytes of ``g``: the header (magic, version 1, node,
-    edge and predicate counts), every id, title and predicate as a ``<u4``
-    byte length and its UTF-8 bytes, then per edge ``u``, ``v``, a ``<u2``
-    predicate count and its ``<u4`` predicate ids."""
-    out = [struct.pack("<8sIIII", b"SEDKGRPH", 1, len(g.ids), g.num_edges,
-                       len(g.predicates))]
-    for s in (*g.ids, *g.titles, *g.predicates):
-        raw = s.encode("utf-8")
-        out += [struct.pack("<I", len(raw)), raw]
-    ptr, preds = g.pred_ptr.tolist(), g.pred_ids.tolist()
-    for u, v, a, b in zip(g.edge_u.tolist(), g.edge_v.tolist(), ptr, ptr[1:]):
-        out.append(struct.pack(f"<IIH{b - a}I", u, v, b - a, *preds[a:b]))
-    return b"".join(out)
 
 
 def expand_bfs(g, seeds, radius):

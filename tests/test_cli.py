@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -126,6 +127,20 @@ def test_non_utf8_input_is_input_error(synthetic_root, snapshot, tmp_path, capsy
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "not valid UTF-8" in err
+
+
+def test_version_1_snapshot_is_input_error(synthetic_root, tmp_path, capsys):
+    old = tmp_path / "v1.snap"
+    # the version 1 file of an empty graph: magic, version, three counts
+    old.write_bytes(struct.pack("<8sIIII", b"SEDKGRPH", 1, 0, 0, 0))
+    out = tmp_path / "sed.csv"
+    rc = main(["score", "--corpus", str(synthetic_root), "--kg", str(old),
+               "--annotations", str(synthetic_root / "entities.tsv"), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unsupported snapshot version 1")
+    assert "sedrec ingest" in err and "internal error" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("case", ["score-out-in-missing-dir", "ingest-out-in-missing-dir",

@@ -39,7 +39,6 @@ from oracles import (
     distinct_rows_lexsort,
     parse_lines,
     records_of,
-    snapshot_v1,
 )
 
 
@@ -224,7 +223,7 @@ def test_english_only_drops_foreign_literals():
         lit("a", "type.object.name", "Pomme", "fr"),
     ]
     g = build_graph(blocks_of(triples), PruneConfig(english_only=True, min_out_degree=0))
-    assert g.title(g.node_index("a")) == "Apple"
+    assert g.titles[g.node_index("a")] == "Apple"
 
 
 def test_stoplist_removes_node_and_incident_edges():
@@ -261,7 +260,7 @@ def test_self_loops_never_enter_graph():
 
 def test_title_falls_back_to_identifier():
     g = graph_from_edges([("a", "b")])
-    assert g.title(g.node_index("a")) == "a"
+    assert g.titles[g.node_index("a")] == "a"
 
 
 def test_title_prefers_english_name():
@@ -271,7 +270,7 @@ def test_title_prefers_english_name():
         lit("a", "type.object.name", "Proper Title", "en"),
     ]
     g = build_graph(blocks_of(triples), IDENTITY_PRUNE)
-    assert g.title(g.node_index("a")) == "Proper Title"
+    assert g.titles[g.node_index("a")] == "Proper Title"
 
 
 def test_full_uri_name_predicate_recognized():
@@ -280,7 +279,7 @@ def test_full_uri_name_predicate_recognized():
         lit("a", "http://rdf.freebase.com/ns/type.object.name", "Apple", "en"),
     ]
     g = build_graph(blocks_of(triples), IDENTITY_PRUNE)
-    assert g.title(g.node_index("a")) == "Apple"
+    assert g.titles[g.node_index("a")] == "Apple"
 
 
 def test_prune_stats_recorded():
@@ -323,22 +322,13 @@ def test_prune_stats_count_every_pass():
     assert g.num_edges == g.prune_stats.collapsed_edges == 6
 
 
-# v1 digest (the oracle writer) -> the same graph's version 2 digest (save_snapshot)
-V2_DIGESTS = {
-    "340a9e01356f95dbd14be6e0dc143658dd0ea527eca57819b569dafc20efeb64":
-        "b57489502c29ff219fd7f0facb22d467c614134677f36a197fb5ca8ed41ba4bb",
-    "d06094085e5b00b56683f0d7712f58aa2eb1a82217e67735459099d26e205fce":
-        "f5e34ca0b2806c58569951cb7b89c685fa5bcc3358bf93f16450bf9630f2e360",
-}
-
-
 @pytest.mark.parametrize("min_out_degree, stoplisted, leaves, digest, counts", [
     (0, False, False,
-     "340a9e01356f95dbd14be6e0dc143658dd0ea527eca57819b569dafc20efeb64",
+     "b57489502c29ff219fd7f0facb22d467c614134677f36a197fb5ca8ed41ba4bb",
      [(274, 473, 275), (274, 473, 274), (274, 473, 274), (274, 473, 274),
       (274, 473, 274)]),
     (2, True, True,
-     "d06094085e5b00b56683f0d7712f58aa2eb1a82217e67735459099d26e205fce",
+     "f5e34ca0b2806c58569951cb7b89c685fa5bcc3358bf93f16450bf9630f2e360",
      [(274, 473, 275), (274, 473, 274), (270, 353, 270), (263, 296, 263),
       (138, 206, 138)]),
 ])
@@ -348,9 +338,8 @@ def test_synthetic_snapshot_bytes_are_pinned(synthetic_root, tmp_path, min_out_d
     cfg = PruneConfig(english_only=True, min_out_degree=min_out_degree,
                       stoplist=stoplist, drop_leaves=leaves)
     g = build_graph(parse_ntriples(synthetic_root / "kg.nt"), cfg)
-    assert hashlib.sha256(snapshot_v1(g)).hexdigest() == digest
     save_snapshot(g, tmp_path / "kg.snap")
-    assert hashlib.sha256((tmp_path / "kg.snap").read_bytes()).hexdigest() == V2_DIGESTS[digest]
+    assert hashlib.sha256((tmp_path / "kg.snap").read_bytes()).hexdigest() == digest
     assert [(p.nodes, p.node_triples, p.literal_triples)
             for p in g.prune_stats.passes] == counts
 
@@ -445,11 +434,8 @@ def test_from_columns_rejects_bad_predicate_table():
     lambda g: expand(g, [7]),
     lambda g: g.neighbors(-1),
     lambda g: g.neighbors(len(g)),
-    lambda g: g.title(-1),
-    lambda g: g.title(len(g)),
 ], ids=["edge-between-negative", "edge-between-past-end", "neighborhood-negative",
-        "expand-negative", "expand-past-end", "neighbors-negative", "neighbors-past-end",
-        "title-negative", "title-past-end"])
+        "expand-negative", "expand-past-end", "neighbors-negative", "neighbors-past-end"])
 def test_node_indices_are_range_checked(call):
     g = graph_from_edges([("a", "b"), ("b", "c")])
     with pytest.raises(UnknownNodeError):
@@ -497,8 +483,8 @@ def test_graph_memory_per_edge(tmp_path):
     """A loaded graph holds arrays, not per-edge Python objects: 114 bytes
     per edge here with the node tables, against 389 with tuple rows. The
     file's bytes are freed before the graph builds its tables, so the load
-    peaks at 165 bytes per edge (188 with the bytes kept alive, 196 for the
-    version 1 reader); the peak bound is that 165 plus 15."""
+    peaks at 165 bytes per edge (188 with the bytes kept alive); the peak
+    bound is that 165 plus 15."""
     rng = random.Random(7)
     n, m = 5000, 20000
     edges = {}
@@ -584,21 +570,9 @@ def test_snapshot_wrong_version(tmp_path):
         load_snapshot(path)
 
 
-def pack_snapshot(ids, edges, preds=("rel",), runs=None):
-    """v1 snapshot bytes, packed by hand; titles equal ids, and edge i carries
-    the predicate-table indices ``runs[i]`` (by default predicate 0 alone)."""
-    runs = [[0]] * len(edges) if runs is None else runs
-    out = [struct.pack("<8sIIII", b"SEDKGRPH", 1, len(ids), len(edges), len(preds))]
-    for s in (*ids, *ids, *preds):
-        raw = s.encode("utf-8")
-        out += [struct.pack("<I", len(raw)), raw]
-    out += [struct.pack(f"<IIH{len(run)}I", u, v, len(run), *run)
-            for (u, v), run in zip(edges, runs)]
-    return b"".join(out)
-
-
 def pack_snapshot_v2(ids, edges, preds=("rel",), runs=None):
-    """v2 snapshot bytes of the graph ``pack_snapshot`` packs, packed by hand."""
+    """v2 snapshot bytes, packed by hand; titles equal ids, and edge i carries
+    the predicate-table indices ``runs[i]`` (by default predicate 0 alone)."""
     runs = [[0]] * len(edges) if runs is None else runs
     refs = [p for run in runs for p in run]
 
@@ -624,29 +598,23 @@ def test_hand_packed_snapshot_matches_saved_bytes(tmp_path):
         g = graph_from_edges(edges)
         save_snapshot(g, path)
         assert path.read_bytes() == pack_snapshot_v2(*args)
-        assert snapshot_v1(g) == pack_snapshot(*args)
 
 
 V2 = pack_snapshot_v2("ab", [(0, 1)])
+# the graph V2 holds as version 1 wrote it, each string right after its
+# length, then per edge u, v, a <u2 predicate count and the predicate ids;
+# and the version 1 file of an empty graph, shorter than a version 2 header
+V1 = (struct.pack("<8sIIII", b"SEDKGRPH", 1, 2, 1, 1)
+      + b"".join(struct.pack("<I", len(s)) + s for s in (b"a", b"b", b"a", b"b", b"rel"))
+      + struct.pack("<IIHI", 0, 1, 1, 0))
+V1_EMPTY = struct.pack("<8sIIII", b"SEDKGRPH", 1, 0, 0, 0)
 
 
 @pytest.mark.parametrize("data, message", [
     (b"hello", "not a graph snapshot (magic b'hello')"),
-    (pack_snapshot("ab", [(0, 1)])[:-4] + struct.pack("<I", 1),
-     "predicate index out of range"),
-    (pack_snapshot("ab", [(0, 1)]) + b"\x00", "trailing bytes"),
-    (pack_snapshot("ab", [(0, 1)])[:24] + struct.pack("<I", 1000) + b"a",
-     "truncated snapshot file"),
-    (pack_snapshot("ab", [])[:-1], "truncated snapshot file"),
-    (pack_snapshot("ab", [(0, 1)]).replace(b"a", b"\xff", 1), "not valid UTF-8"),
-    (pack_snapshot("abc", [(1, 2), (0, 1)]), "inconsistent snapshot"),
-    (pack_snapshot("ab", [(0, 1), (0, 1)]), "inconsistent snapshot"),
-    (pack_snapshot("ab", [(1, 0)]), "inconsistent snapshot"),
-    (pack_snapshot("ab", [(0, 1)], ("p", "q"), [[1, 0]]), "inconsistent snapshot"),
-    (pack_snapshot("ab", [(0, 1)], ("p",), [[0, 0]]), "inconsistent snapshot"),
-    (pack_snapshot("ab", [(0, 1)], ("q", "p"), [[0, 1]]), "inconsistent snapshot"),
-    (pack_snapshot("ab", [(0, 1)], ("p", "q"), [[0]]), "inconsistent snapshot"),
-    (pack_snapshot("ab", [(0, 1)], ("p",), [[]]), "inconsistent snapshot"),
+    (V1, "unsupported snapshot version 1"),
+    (V1_EMPTY, "unsupported snapshot version 1"),
+    (V2[:10], "truncated snapshot file"),
     (V2[:24], "truncated snapshot file"),
     (V2[:32], "truncated snapshot file"),
     (V2[:28] + struct.pack("<2I", 1, 1000) + b"ab", "truncated snapshot file"),
@@ -665,10 +633,7 @@ V2 = pack_snapshot_v2("ab", [(0, 1)])
     (pack_snapshot_v2("ab", [(0, 1)], ("q", "p"), [[0, 1]]), "inconsistent snapshot"),
     (pack_snapshot_v2("ab", [(0, 1)], ("p", "q"), [[0]]), "inconsistent snapshot"),
     (pack_snapshot_v2("ab", [(0, 1)], ("p",), [[]]), "inconsistent snapshot"),
-], ids=["short-magic", "predicate-index", "trailing", "string-past-end",
-        "last-string-past-end", "utf8", "unsorted-edges", "duplicate-edge", "reversed-edge",
-        "unsorted-predicates", "repeated-predicate", "unsorted-table", "unused-table-entry",
-        "no-predicate",
+], ids=["short-magic", "v1", "v1-empty", "short-version",
         "v2-header", "v2-length-block", "v2-string-past-end", "v2-string-blob",
         "v2-edge-column", "v2-predicate-column", "v2-trailing", "v2-utf8",
         "v2-predicate-index", "v2-reference-count", "v2-unsorted-edges",
@@ -696,22 +661,19 @@ def test_snapshot_writer_refuses_values_outside_u4(tmp_path):
     assert not (tmp_path / "g.snap").exists()
 
 
-def test_v1_and_v2_snapshots_load_to_the_same_graph(synthetic_root, tmp_path):
-    """On criterion 11's graphs and the synthetic benchmark graph, the
-    oracle's v1 bytes and save_snapshot's v2 bytes load to the graph, and
-    re-saving either load gives the v2 bytes."""
+def test_snapshots_round_trip_to_the_same_graph(synthetic_root, tmp_path):
+    """On criterion 11's graphs and the synthetic benchmark graph,
+    save_snapshot's bytes load to the graph, and re-saving the load gives
+    the same bytes."""
     synthetic = build_graph(parse_ntriples(synthetic_root / "kg.nt"),
                             PruneConfig(english_only=True, min_out_degree=0))
-    v1, v2, again = tmp_path / "v1.snap", tmp_path / "v2.snap", tmp_path / "again.snap"
+    path, again = tmp_path / "g.snap", tmp_path / "again.snap"
     for g in (*random_pruned_graphs(), synthetic):
-        v1.write_bytes(snapshot_v1(g))
-        save_snapshot(g, v2)
-        assert v1.read_bytes() != v2.read_bytes()
-        for path in (v1, v2):
-            loaded = load_snapshot(path)
-            assert loaded == g
-            save_snapshot(loaded, again)
-            assert again.read_bytes() == v2.read_bytes()
+        save_snapshot(g, path)
+        loaded = load_snapshot(path)
+        assert loaded == g
+        save_snapshot(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
     assert len(synthetic) == 274
 
 
