@@ -14,6 +14,7 @@ from enum import Enum
 
 import numpy as np
 
+from .errors import InputDataError
 from .kg import KnowledgeGraph, _run_starts, distinct
 from .subgraph import contains, ranges
 
@@ -45,9 +46,9 @@ def rws_cost(g: KnowledgeGraph, source: int, target: int) -> float:
 
 def _incidence(g: KnowledgeGraph) -> np.ndarray:
     """A ``predicate * len(g) + node`` key per (edge, predicate): all u, then all v."""
-    width = np.diff(g.pred_ptr)
-    key = g.pred_ids * len(g)
-    return np.concatenate([key + np.repeat(g.edge_u, width), key + np.repeat(g.edge_v, width)])
+    incidence = np.repeat(np.stack([g.edge_u, g.edge_v]), np.diff(g.pred_ptr), axis=1)
+    incidence += g.pred_ids * len(g)
+    return incidence.ravel()
 
 
 def _frequency(g: KnowledgeGraph, scheme: WeightingScheme) -> list[float]:
@@ -61,13 +62,15 @@ def _frequency(g: KnowledgeGraph, scheme: WeightingScheme) -> list[float]:
         raise ValueError(f"{scheme} is not a frequency scheme")
     counts = np.bincount(g.pred_ids)
     af = (counts / counts.max()).tolist()
+    if scheme is WeightingScheme.AF:
+        return af
     # incident nodes per predicate: its distinct (predicate, node) keys
     raw = [math.log(len(g) / k) for k in np.bincount(distinct(_incidence(g)) // len(g)).tolist()]
     mx = max(raw)
     iaf = [r / mx if mx > 0.0 else 0.0 for r in raw]
     if scheme is WeightingScheme.AF_IAF:
         return [a * i for a, i in zip(af, iaf)]
-    return af if scheme is WeightingScheme.AF else iaf
+    return iaf
 
 
 def frequency_costs(g: KnowledgeGraph, scheme: WeightingScheme) -> np.ndarray:
@@ -83,6 +86,22 @@ def frequency_costs(g: KnowledgeGraph, scheme: WeightingScheme) -> np.ndarray:
     return 1.0 - best
 
 
+def _joint_ic_key_bits(predicates: int, nodes: int, incidences: int) -> int:
+    """Bits of an incidence position in ``joint_ic_costs``'s packed key.
+
+    The key ``incidence << bits | position`` is below
+    ``predicates * nodes * 2 ** bits``; past ``2 ** 63`` that product
+    raises ``InputDataError`` naming its three factors, so no key wraps.
+    """
+    bits = incidences.bit_length()
+    if predicates * nodes * 2 ** bits > 2 ** 63:
+        raise InputDataError(
+            f"graph too large: the JointIC table packs {predicates} predicates x {nodes} "
+            f"nodes x 2**{bits} incidence positions into int64 keys, past the limit "
+            f"2**63; score with another --weighting")
+    return bits
+
+
 def joint_ic_costs(g: KnowledgeGraph) -> np.ndarray:
     """Symmetric per-edge costs from joint information content, as float64 by edge.
 
@@ -93,34 +112,60 @@ def joint_ic_costs(g: KnowledgeGraph) -> np.ndarray:
     edge IC, so the globally most informative edge costs 0 and the least
     informative costs 1.
 
-    One argsort groups the incidences into (predicate, node) slots and counts
-    each slot; the logs are taken with ``math.log`` once per distinct
-    (predicate, slot count), so every cost is the float the per-orientation
-    definition gives.
+    One in-place sort of the packed int64 keys ``incidence << bits |
+    position`` groups the incidences into (predicate, node) slots, with each
+    incidence's position in the low ``bits`` (the bit length of the
+    incidence count): a mask recovers the positions and a shift the keys.
+    The product of predicates, nodes and ``2 ** bits`` must stay within
+    ``2 ** 63`` (``_joint_ic_key_bits``). Each slot reads its IC once from a
+    table with one entry per incidence, indexed by (predicate, slot count),
+    and one scatter writes it to the slot's incidences. The logs are taken
+    with ``math.log`` once per distinct (predicate, slot count), so every
+    cost is the float the per-orientation definition gives. Each temporary
+    is freed once spent: the peak sets the pages a call faults in.
     """
     if not g.num_edges:
         return np.zeros(0)
     counts = np.bincount(g.pred_ids).tolist()
     total = sum(counts)
-    incidence = _incidence(g)
-    order = np.argsort(incidence)
-    start = _run_starts(incidence[order])
-    # each (predicate, node) slot's predicate and count, and each incidence's slot
-    head = np.flatnonzero(start)
-    pred = incidence[order[head]] // len(g)
-    degree = np.diff(np.append(head, len(incidence)))
-    slot = np.empty_like(order)
-    slot[order] = np.cumsum(start) - 1
-    del incidence, order, start, head
-    span = int(degree.max()) + 1
-    key = pred * span + degree
-    keys = distinct(key)
-    ic = np.array([(-math.log(counts[p] / total)) + (-math.log(d / (2 * counts[p])))
-                   for p, d in zip((keys // span).tolist(), (keys % span).tolist())])
+    size = 2 * len(g.pred_ids)
+    bits = _joint_ic_key_bits(len(counts), len(g), size)
+    packed = _incidence(g)
+    position = np.arange(size)
+    packed <<= bits
+    packed |= position
+    packed.sort()
+    np.bitwise_and(packed, (1 << bits) - 1, out=position)
+    packed >>= bits
+    # each (predicate, node) slot's count d, and its index offset[p] + d - 1:
+    # predicate p has 2 * counts[p] incidences, so each (p, d) has its own index
+    offset = 2 * np.cumsum([0, *counts])
+    head = np.flatnonzero(_run_starts(packed))
+    slot = offset[packed[head] // len(g)]
+    del packed
+    degree = np.diff(head, append=size)
+    del head
+    slot += degree
+    slot -= 1
+    seen = np.zeros(size, dtype=bool)
+    seen[slot] = True
+    used = np.flatnonzero(seen)
+    del seen
+    pred = np.searchsorted(offset, used, "right") - 1
+    table = np.empty(size)
+    table[used] = [(-math.log(counts[p] / total)) + (-math.log(d / (2 * counts[p])))
+                   for p, d in zip(pred.tolist(), (used - offset[pred] + 1).tolist())]
+    ic = table[slot]
+    del table, slot
+    each = np.repeat(ic, degree)
+    del ic, degree
+    best = np.empty(size)
+    best[position] = each
+    del position, each
     # incidences run all u, then all v
-    best = ic[np.searchsorted(keys, key)][slot]
     half = len(g.pred_ids)
-    ics = np.maximum.reduceat(np.maximum(best[:half], best[half:]), g.pred_ptr[:-1])
+    ics = np.maximum.reduceat(np.maximum(best[:half], best[half:], out=best[:half]),
+                              g.pred_ptr[:-1])
     lo, hi = ics.min(), ics.max()
     if hi == lo:
         return np.zeros(g.num_edges)
@@ -133,7 +178,10 @@ class EdgeCosts:
     ``gather`` prices arrays of directed edges in one call; pass one calls it
     once per batch, repeated edges included. The symmetric schemes (unweighted,
     AF, IAF, AF-IAF, JointIC) index a whole-graph float64 table built up front
-    from ``frequency_costs`` or ``joint_ic_costs``. RWS is direction dependent,
+    from ``frequency_costs`` or ``joint_ic_costs``; JointIC's table groups its
+    incidences by one sort of packed int64 keys, and a graph whose predicates
+    x nodes x ``2 ** bits`` positions pass ``2 ** 63`` raises
+    ``InputDataError`` (``_joint_ic_key_bits``). RWS is direction dependent,
     but the size k of the endpoints' closed-neighbourhood intersection is not:
     ``gather`` counts it once per distinct queried edge from the CSR
     (``_shared_counts``, the only place repeated edges are removed), since only

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sedrec import weighting
+from sedrec.errors import InputDataError
 from sedrec.kg import KnowledgeGraph
 from sedrec.weighting import (
     EdgeCosts,
@@ -171,17 +173,78 @@ def test_joint_ic_degenerate_uniform_graph():
     assert joint_ic_costs(g).tolist() == [0.0, 0.0]
 
 
+def heavy_tailed_graph(seed=26):
+    """Four hubs of degree 150-320 over 500 nodes, one predicate in half the
+    draws and 2-3 predicates on about a quarter of the edges: (predicate, node)
+    slots count up to 174 incidences, and 1,663 slots share 55 (predicate,
+    count) pairs."""
+    rng = random.Random(seed)
+    n, preds, weights = 500, ["p0", "p1", "p2", "p3", "p4", "p5"], [16, 8, 4, 2, 1, 1]
+    edges = {}
+
+    def add(u, v):
+        if u != v:
+            edges.setdefault((min(u, v), max(u, v)), set()).update(
+                rng.choices(preds, weights, k=rng.choice((1, 1, 1, 1, 2, 3))))
+
+    for hub in range(4):
+        for v in rng.sample(range(4, n), rng.randint(150, 320)):
+            add(hub, v)
+    for _ in range(900):
+        add(rng.randrange(4, n), rng.randrange(4, n))
+    endpoints = sorted(edges)
+    return KnowledgeGraph([f"n{i}" for i in range(n)], [f"N{i}" for i in range(n)],
+                          endpoints, [tuple(sorted(edges[e])) for e in endpoints])
+
+
+def joint_ic_oracle_bytes(g):
+    return np.array(joint_ic_loop(g), dtype=np.float64).tobytes()
+
+
 @pytest.mark.parametrize("g", [
     graph_from_edges([("a", "b", "p"), ("a", "b", "q"), ("b", "c", "q"),
                       ("c", "d", "r"), ("c", "d", "p"), ("a", "c", "p")]),
     graph_from_edges([("a", "b", "p"), ("c", "d", "p")]),
     KnowledgeGraph([], [], [], []),
     KnowledgeGraph(["n"], ["N"], [], []),
-], ids=["multi-predicate", "uniform", "empty", "no-edges"])
+    heavy_tailed_graph(),
+], ids=["multi-predicate", "uniform", "empty", "no-edges", "heavy-tailed"])
 def test_joint_ic_table_equals_loop_oracle(g):
     got = joint_ic_costs(g)
-    assert got.tolist() == list(joint_ic_loop(g))
     assert got.dtype == np.float64 and got.shape == (g.num_edges,)
+    assert got.tobytes() == joint_ic_oracle_bytes(g)
+
+
+def test_joint_ic_heavy_tailed_table_is_pinned():
+    g = heavy_tailed_graph()
+    g.validate()
+    slots = np.bincount(weighting._incidence(g))
+    assert max(g.degrees) >= 300 and slots.max() >= 100
+    assert np.count_nonzero(np.diff(g.pred_ptr) > 1) > g.num_edges // 5
+    got = joint_ic_costs(g)
+    assert hashlib.sha256(got.tobytes()).hexdigest() == (
+        "7df837f41ce146cc95c207a983293f4ff93b840761ab1a2ba62f44ebb0568e8e")
+
+
+@pytest.mark.parametrize("sizes, bits", [
+    ((12, 50_000, 454_622), 19),
+    ((2 ** 20, 2 ** 24, 2 ** 19 - 1), 19),
+    ((2 ** 20, 2 ** 24 + 1, 2 ** 19 - 1), None),
+    ((2 ** 20, 2 ** 24, 2 ** 19), None),
+    ((2, 2 ** 61, 1), 1),
+    ((2, 2 ** 61, 2), None),
+], ids=["hub", "at-limit", "nodes-past", "positions-past", "one-position", "two-positions"])
+def test_joint_ic_key_bits_refuses_a_key_past_int64(sizes, bits):
+    if bits is not None:
+        assert weighting._joint_ic_key_bits(*sizes) == bits
+        return
+    with pytest.raises(InputDataError) as exc:
+        weighting._joint_ic_key_bits(*sizes)
+    predicates, nodes, incidences = sizes
+    assert str(exc.value).startswith(
+        f"graph too large: the JointIC table packs {predicates} predicates x {nodes} "
+        f"nodes x 2**{incidences.bit_length()} incidence positions into int64 keys, "
+        f"past the limit 2**63")
 
 
 # ------------------------------------------------------------ EdgeCosts
@@ -332,8 +395,8 @@ def test_joint_ic_costs_in_unit_interval(g):
 @settings(max_examples=80)
 def test_joint_ic_costs_equal_loop_oracle(g):
     got = joint_ic_costs(g)
-    assert got.tolist() == list(joint_ic_loop(g))
     assert got.dtype == np.float64
+    assert got.tobytes() == joint_ic_oracle_bytes(g)
 
 
 @given(random_graph(), st.sampled_from([WeightingScheme.AF, WeightingScheme.IAF,
