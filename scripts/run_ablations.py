@@ -14,12 +14,7 @@ from collections import Counter
 from pathlib import Path
 
 from sedrec.articles import ContextWordConfig, ScreeningConfig, load_annotations
-from sedrec.evaluation import (
-    STANDARD_CONDITIONS,
-    confusion_and_f1,
-    label_pairs,
-    load_cnrec,
-)
+from sedrec.evaluation import STANDARD_CONDITIONS, MetricsReport, evaluate_scores, load_cnrec
 from sedrec.kg import PruneConfig, build_graph, parse_ntriples
 from sedrec.scoring import (
     PassOne,
@@ -37,21 +32,14 @@ from sedrec.synthetic import generate_benchmark
 from sedrec.weighting import WeightingScheme
 
 
-def f1_row(records, decisions) -> list[str]:
-    cells = []
-    for cond in STANDARD_CONDITIONS:
-        labels = label_pairs(records, cond)
-        cells.append(f"{confusion_and_f1(labels, decisions).f1 * 100:6.2f}")
-    return cells
-
-
-def print_table(title: str, rows: dict[str, list[str]]) -> None:
+def print_table(title: str, report: MetricsReport, names: list[str]) -> None:
     header = "  ".join(f"{c.label:>6}" for c in STANDARD_CONDITIONS)
-    width = max(len(name) for name in rows)
+    width = max(len(name) for name in names)
     print(f"\n== {title} (F1 %) ==")
     print(f"{'':<{width}}  {header}")
-    for name, cells in rows.items():
-        print(f"{name:<{width}}  " + "  ".join(cells))
+    for name in names:
+        print(f"{name:<{width}}  " + "  ".join(
+            f"{report.entries[name, c.label].f1 * 100:6.2f}" for c in STANDARD_CONDITIONS))
 
 
 VARIANTS_TABLE = "variants, baselines, ensembles"
@@ -104,37 +92,39 @@ def run(root: Path) -> None:
     # one; each is dropped after the last config that uses it
     uses = Counter(pass_one_key(cfg) for _, rows in tables for _, cfg in rows)
     passes: dict[tuple, PassOne] = {}
-    results: dict[str, dict[str, list[str]]] = {}
-    zs = {}
+    # every row's recorded decisions and z-scores, by row name
+    decisions: dict[str, dict[str, bool]] = {}
+    zs: dict[str, dict[str, float]] = {}
+
+    def record(name: str, col) -> None:
+        decisions[name] = {p: s.decision for p, s in col.items()}
+        zs[name] = {p: s.z_score for p, s in col.items()}
+
     for title, rows in tables:
-        results[title] = cells = {}
         for name, cfg in rows:
             key = pass_one_key(cfg)
             if key not in passes:
                 passes[key] = pass_one(kg, articles, pairs, annotations, cfg)
-            col = score_from(passes[key], cfg, method=name).column(name)
+            record(name, score_from(passes[key], cfg, method=name).column(name))
             uses[key] -= 1
             if not uses[key]:
                 del passes[key]
-            cells[name] = f1_row(records, {p: s.decision for p, s in col.items()})
-            if name == "sed-sym":
-                zs["sed"] = {p: s.z_score for p, s in col.items()}
 
-    rows = results[VARIANTS_TABLE]
-    tf_col = score_tfidf(articles, pairs).column("tfidf")
-    rows["tfidf"] = f1_row(records, {p: s.decision for p, s in tf_col.items()})
-    zs["tfidf"] = {p: s.z_score for p, s in tf_col.items()}
+    record("tfidf", score_tfidf(articles, pairs).column("tfidf"))
     emb_table = import_embedding_scores(root / "embeddings.csv", [p[0] for p in pairs])
-    emb_col = emb_table.column("embedding")
-    rows["embedding"] = f1_row(records, {p: s.decision for p, s in emb_col.items()})
-    zs["embedding"] = {p: s.z_score for p, s in emb_col.items()}
+    record("embedding", emb_table.column("embedding"))
+    extra = ["tfidf", "embedding"]
     for members in (("sed", "tfidf"), ("sed", "embedding"),
                     ("sed", "tfidf", "embedding")):
-        combined = ensemble({m: zs[m] for m in members})
-        decisions = {p: z < 0 for p, z in combined.items()}
-        rows["+".join(members)] = f1_row(records, decisions)
-    for title, cells in results.items():
-        print_table(title, cells)
+        name = "+".join(members)
+        # an ensemble decides at combined z < 0, as table_from_zscores does
+        zs[name] = ensemble({m: zs["sed-sym" if m == "sed" else m] for m in members})
+        decisions[name] = {p: z < 0 for p, z in zs[name].items()}
+        extra.append(name)
+    report = evaluate_scores(records, decisions, zs)
+    for title, rows in tables:
+        names = [name for name, _ in rows]
+        print_table(title, report, names + extra if title == VARIANTS_TABLE else names)
 
 
 def main() -> None:

@@ -1,4 +1,4 @@
-"""Command line pipeline: ingest, convert, score, evaluate, compare.
+"""Command line pipeline: ingest, convert, score, evaluate.
 
 Every output file is written with a ``.manifest.json`` sidecar recording the
 exact configuration, input digests, and output digest; repeated runs with the
@@ -99,6 +99,11 @@ def write_manifest(output: Path, command: str, config: dict, inputs: list) -> No
                        encoding="utf-8")
 
 
+def _items(*values: str) -> list[str]:
+    """The stripped, non-empty entries of comma-separated option values."""
+    return [s.strip() for v in values for s in v.split(",") if s.strip()]
+
+
 def _require_file(path, what: str) -> Path:
     if path is None:
         raise InputDataError(f"missing required {what}")
@@ -180,24 +185,23 @@ def _convert_long_ratings(path: Path) -> list[AnnotationRecord]:
 def cmd_convert(args) -> int:
     articles_dir = _require_file(args.articles, "articles directory")
     ratings_path = _require_file(args.ratings, "ratings file")
-    out = Path(args.out)
-    (out / "articles").mkdir(parents=True, exist_ok=True)
-
+    # read every input before creating anything, so bad input leaves no output
     with open(ratings_path, newline="", encoding="utf-8") as fh:
         header = next(csv.reader(fh), None)
     if header == _LONG_HEADER:
         records = _convert_long_ratings(ratings_path)
     else:
         records = read_ratings_csv(ratings_path)  # already wide: validate
-    write_ratings_csv(records, out / "annotations.csv")
-
-    copied = 0
-    for src in sorted(Path(articles_dir).glob("*.txt")):
-        (out / "articles" / src.name).write_bytes(src.read_bytes())
-        copied += 1
-    if copied == 0:
+    sources = sorted(Path(articles_dir).glob("*.txt"))
+    if not sources:
         raise InputDataError(f"no .txt articles under {articles_dir}")
-    print(f"converted {len(records)} pairs and {copied} articles into {out}")
+
+    out = Path(args.out)
+    (out / "articles").mkdir(parents=True, exist_ok=True)
+    write_ratings_csv(records, out / "annotations.csv")
+    for src in sources:
+        (out / "articles" / src.name).write_bytes(src.read_bytes())
+    print(f"converted {len(records)} pairs and {len(sources)} articles into {out}")
     write_manifest(out / "annotations.csv", "convert",
                    {"articles": str(articles_dir), "ratings": str(ratings_path)},
                    [articles_dir, ratings_path])
@@ -207,9 +211,9 @@ def cmd_convert(args) -> int:
 # ----------------------------------------------------------------- score
 
 def _parse_drop_types(text: str) -> frozenset[str]:
-    if text.lower() in ("", "none"):
+    if text.lower() == "none":
         return frozenset()
-    return frozenset(t.strip().upper() for t in text.split(",") if t.strip())
+    return frozenset(t.upper() for t in _items(text))
 
 
 def cmd_score(args) -> int:
@@ -281,17 +285,10 @@ def _load_score_tables(paths) -> ScoreTable:
     return table
 
 
-def _split_scores_args(values) -> list[str]:
-    out = []
-    for v in values or []:
-        out.extend(s for s in v.split(",") if s)
-    return out
-
-
 def _with_ensemble(table: ScoreTable, spec: str | None) -> ScoreTable:
     if not spec:
         return table
-    members = [m.strip() for m in spec.split(",") if m.strip()]
+    members = _items(spec)
     if len(members) < 2:
         raise InputDataError("--ensemble needs at least two method names")
     repeated = sorted({m for m in members if members.count(m) > 1})
@@ -310,50 +307,31 @@ def _with_ensemble(table: ScoreTable, spec: str | None) -> ScoreTable:
     return table
 
 
-def _report(args, ensemble_spec: str | None):
-    """Load and check the score files, evaluate them and print the table.
-
-    Returns the report, the manifest config and the manifest inputs.
-    """
-    score_paths = _split_scores_args(args.scores)
+def cmd_evaluate(args) -> int:
+    _require_writable_dirs(args.out_metrics, args.out_correlations)
+    score_paths = _items(*args.scores)
     if not score_paths:
         raise InputDataError("at least one --scores file is required")
     table = _load_score_tables(score_paths)
     root = _require_file(args.cnrec, "benchmark root (--cnrec)")
     _, records = load_cnrec(root, expect_articles=args.expect_articles or None,
                             expect_pairs=args.expect_pairs or None)
-    conditions = [EvalCondition.parse(c)
-                  for c in args.conditions.split(",") if c.strip()]
+    conditions = [EvalCondition.parse(c) for c in _items(args.conditions)]
     # an ensemble z-normalizes its members, so check their pairs first
     check_pair_sets(records, {m: table.column(m) for m in table.methods()})
-    table = _with_ensemble(table, ensemble_spec)
+    table = _with_ensemble(table, args.ensemble)
     decisions = {m: {pid: ps.decision for pid, ps in table.column(m).items()}
                  for m in table.methods()}
     zs = {m: {pid: ps.z_score for pid, ps in table.column(m).items()}
           for m in table.methods()}
     report = evaluate_scores(records, decisions, zs, conditions)
     print(report.format_table())
-    config = {"scores": score_paths, "conditions": [c.label for c in conditions]}
-    return report, config, score_paths + [args.cnrec]
-
-
-def cmd_evaluate(args) -> int:
-    _require_writable_dirs(args.out_metrics, args.out_correlations)
-    report, config, inputs = _report(args, args.ensemble)
-    config["ensemble"] = args.ensemble
     report.write_metrics_csv(args.out_metrics)
     report.write_correlations_csv(args.out_correlations)
+    config = {"scores": score_paths, "conditions": [c.label for c in conditions],
+              "ensemble": args.ensemble}
     for out in (args.out_metrics, args.out_correlations):
-        write_manifest(Path(out), "evaluate", config, inputs)
-    return 0
-
-
-def cmd_compare(args) -> int:
-    _require_writable_dirs(args.out)
-    report, config, inputs = _report(args, None)
-    if args.out:
-        report.write_metrics_csv(args.out)
-        write_manifest(Path(args.out), "compare", config, inputs)
+        write_manifest(Path(out), "evaluate", config, score_paths + [args.cnrec])
     return 0
 
 
@@ -403,25 +381,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--label", help="method label override for the output column")
     p.set_defaults(func=cmd_score)
 
-    for name, helptext in (("evaluate", "metrics against the benchmark labels"),
-                           ("compare", "side-by-side method table")):
-        p = sub.add_parser(name, help=helptext)
-        p.add_argument("--scores", action="append", required=True,
-                       help="score CSV (repeat or comma-separate for several)")
-        p.add_argument("--cnrec", required=True, help="canonical benchmark root")
-        p.add_argument("--conditions", default="GR@.75,GR@.5,DR@.75,DR@.5")
-        p.add_argument("--expect-articles", type=int, default=300,
-                       help="expected article count; 0 disables the check")
-        p.add_argument("--expect-pairs", type=int, default=2700,
-                       help="expected pair count; 0 disables the check")
-        if name == "evaluate":
-            p.add_argument("--ensemble", help="comma-separated methods to blend")
-            p.add_argument("--out-metrics", default="metrics.csv")
-            p.add_argument("--out-correlations", default="correlations.csv")
-            p.set_defaults(func=cmd_evaluate)
-        else:
-            p.add_argument("--out", help="optional metrics CSV output")
-            p.set_defaults(func=cmd_compare)
+    p = sub.add_parser("evaluate", help="metrics against the benchmark labels")
+    p.add_argument("--scores", action="append", required=True,
+                   help="score CSV (repeat or comma-separate for several)")
+    p.add_argument("--cnrec", required=True, help="canonical benchmark root")
+    p.add_argument("--conditions", default="GR@.75,GR@.5,DR@.75,DR@.5")
+    p.add_argument("--expect-articles", type=int, default=300,
+                   help="expected article count; 0 disables the check")
+    p.add_argument("--expect-pairs", type=int, default=2700,
+                   help="expected pair count; 0 disables the check")
+    p.add_argument("--ensemble", help="comma-separated methods to blend")
+    p.add_argument("--out-metrics", default="metrics.csv")
+    p.add_argument("--out-correlations", default="correlations.csv")
+    p.set_defaults(func=cmd_evaluate)
 
     return parser
 

@@ -33,8 +33,7 @@ class ExpansionConfig:
 class SubGraph:
     """Node/edge subset of a parent graph reachable from an article's entities.
 
-    ``seeds`` are the entity nodes found in the parent graph; identifiers that
-    did not resolve are kept in ``missing_seeds`` for diagnostics. Edge values
+    ``seeds`` are the entity nodes found in the parent graph. Edge values
     index into the parent graph's edge tables.
     """
 
@@ -42,7 +41,6 @@ class SubGraph:
     seeds: frozenset[int]
     members: frozenset[int]
     edges: frozenset[int]
-    missing_seeds: frozenset[str] = frozenset()
 
     def __eq__(self, other):
         if not isinstance(other, SubGraph):
@@ -128,16 +126,13 @@ def expand(g: KnowledgeGraph, seeds: Iterable[str | int],
 
     Members are all nodes within the radius of some seed; an edge is included
     exactly when it extends a path of length <= radius from a seed, i.e. when
-    its closer endpoint lies strictly inside the radius. Seeds missing from
-    the parent graph are dropped and reported via ``missing_seeds``; a node
-    index outside it raises ``UnknownNodeError``.
+    its closer endpoint lies strictly inside the radius. Seed identifiers
+    missing from the parent graph are dropped; a node index outside it raises
+    ``UnknownNodeError``.
     """
     present: set[int] = set()
-    missing: set[str] = set()
     for s in seeds:
-        if isinstance(s, str) and not g.has_node(s):
-            missing.add(s)
-        else:
+        if not isinstance(s, str) or g.has_node(s):
             present.add(g.resolve(s))
     (members,), (edges,) = expand_many(g, [list(present)], cfg.radius)
     return SubGraph(
@@ -145,7 +140,6 @@ def expand(g: KnowledgeGraph, seeds: Iterable[str | int],
         seeds=frozenset(present),
         members=frozenset(members.tolist()),
         edges=frozenset(edges.tolist()),
-        missing_seeds=frozenset(missing),
     )
 
 
@@ -158,5 +152,4 @@ def union(s1: SubGraph, s2: SubGraph) -> SubGraph:
         seeds=s1.seeds | s2.seeds,
         members=s1.members | s2.members,
         edges=s1.edges | s2.edges,
-        missing_seeds=s1.missing_seeds | s2.missing_seeds,
     )

@@ -410,12 +410,30 @@ def test_evaluate_rejects_unknown_condition(synthetic_root, sed_scores, capsys):
     assert rc == 2
 
 
-def test_compare_prints_table(synthetic_root, sed_scores, tfidf_scores, capsys):
-    rc = main(["compare", "--scores", f"{sed_scores},{tfidf_scores}",
-               "--cnrec", str(synthetic_root)])
+def test_evaluate_prints_table(synthetic_root, sed_scores, tfidf_scores, tmp_path, capsys):
+    rc = main(["evaluate", "--scores", f"{sed_scores},{tfidf_scores}",
+               "--cnrec", str(synthetic_root),
+               "--out-metrics", str(tmp_path / "metrics.csv"),
+               "--out-correlations", str(tmp_path / "correlations.csv")])
     assert rc == 0
     out = capsys.readouterr().out
     assert "sed" in out and "tfidf" in out and "DR@.5" in out
+    # evaluate is the one evaluation command
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--scores", str(tfidf_scores), "--cnrec", str(synthetic_root)])
+    assert exc.value.code == 2
+    assert "invalid choice: 'compare'" in capsys.readouterr().err
+
+
+def test_evaluate_strips_comma_separated_entries(synthetic_root, tfidf_scores, tmp_path):
+    metrics = []
+    for scores, conditions in ((str(tfidf_scores), "GR@.5,DR@.5"),
+                               (f" {tfidf_scores}", "GR@.5, DR@.5")):
+        metrics.append(tmp_path / f"metrics{len(metrics)}.csv")
+        assert main(["evaluate", "--scores", scores, "--cnrec", str(synthetic_root),
+                     "--conditions", conditions, "--out-metrics", str(metrics[-1]),
+                     "--out-correlations", str(tmp_path / "correlations.csv")]) == 0
+    assert metrics[0].read_bytes() == metrics[1].read_bytes()
 
 
 # ---------------------------------------------------------------- convert
@@ -449,6 +467,28 @@ def test_convert_rejects_incomplete_annotators(tmp_path, capsys):
                "--out", str(tmp_path / "c")])
     assert rc == 2
     assert "6 annotators" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("no-articles", "no .txt articles"),
+    ("bad-ratings-header", "expected the header"),
+], ids=["no-articles", "bad-ratings-header"])
+def test_convert_bad_input_leaves_no_output(tmp_path, capsys, fault, message):
+    raw = tmp_path / "raw"
+    (raw / "docs").mkdir(parents=True)
+    if fault != "no-articles":
+        (raw / "docs" / "a1.txt").write_text("T\nB")
+    rows = ["pair_id,article_a,article_b,annotator,q1,q2"]
+    if fault == "bad-ratings-header":
+        rows[0] = "pair,a,b,rater,q1,q2"
+    rows += [f"px,a1,a1,{ann},0,0" for ann in range(1, 7)]
+    (raw / "ratings.csv").write_text("\n".join(rows) + "\n")
+    out = tmp_path / "canonical"
+    rc = main(["convert", "--articles", str(raw / "docs"),
+               "--ratings", str(raw / "ratings.csv"), "--out", str(out)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_version_flag(capsys):

@@ -61,9 +61,8 @@ def test_expand_excludes_frontier_to_frontier_edges():
     assert len(sg2.edges) == 3
 
 
-def test_expand_missing_seeds_dropped_with_tally(chain):
+def test_expand_drops_missing_seeds(chain):
     sg = expand(chain, {"a", "ghost"}, ExpansionConfig(1))
-    assert sg.missing_seeds == {"ghost"}
     assert sg.seeds == ids(chain, "a")
 
 
