@@ -185,6 +185,11 @@ def _convert_long_ratings(path: Path) -> list[AnnotationRecord]:
 def cmd_convert(args) -> int:
     articles_dir = _require_file(args.articles, "articles directory")
     ratings_path = _require_file(args.ratings, "ratings file")
+    out = Path(args.out)
+    # a stale article left in an earlier conversion would be loaded with the new ones
+    for old in (out / "annotations.csv", out / "articles"):
+        if old.exists():
+            raise InputDataError(f"output already exists: {old}; convert into a new --out")
     # read every input before creating anything, so bad input leaves no output
     with open(ratings_path, newline="", encoding="utf-8") as fh:
         header = next(csv.reader(fh), None)
@@ -196,8 +201,7 @@ def cmd_convert(args) -> int:
     if not sources:
         raise InputDataError(f"no .txt articles under {articles_dir}")
 
-    out = Path(args.out)
-    (out / "articles").mkdir(parents=True, exist_ok=True)
+    (out / "articles").mkdir(parents=True)
     write_ratings_csv(records, out / "annotations.csv")
     for src in sources:
         (out / "articles" / src.name).write_bytes(src.read_bytes())
@@ -358,7 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--articles", required=True, help="directory of <id>.txt files")
     p.add_argument("--ratings", required=True,
                    help="ratings CSV, wide canonical or long per-annotator form")
-    p.add_argument("--out", required=True, help="canonical root to create")
+    p.add_argument("--out", required=True,
+                   help="canonical root to create; it must not hold annotations.csv or articles/")
     p.set_defaults(func=cmd_convert)
 
     p = sub.add_parser("score", help="score all annotated article pairs")

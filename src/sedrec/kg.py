@@ -26,7 +26,8 @@ with the same row:
 Blank and comment lines, other whitespace, non-ASCII IRIs, bad tags and
 every line of a block that is not valid UTF-8 go through the per-line rules.
 
-The array primitives ``distinct``, ``_csr`` and ``peel`` serve ingest, expansion and core graphs.
+The array primitives ``distinct``, ``_csr`` and ``peel`` serve ingest, expansion and core graphs,
+and ``_cuts`` cuts pass one's pair batches, relaxation chunks and RWS probe runs.
 ``distinct`` is the one sorted-distinct primitive: ``_distinct`` dedupes the
 rows of several columns by packing each row into one int64 key for it. A
 graph whose keys would pass ``2**63`` (about 3.04e9 distinct node
@@ -439,6 +440,18 @@ def peel(size: int, pinned, u: np.ndarray, v: np.ndarray, *cols: np.ndarray):
         u, v, *cols = (c[~gone] for c in (u, v, *cols))
     free[pinned] = True
     return (free, u, v, *cols)
+
+
+def _cuts(width: np.ndarray, cap: int) -> list[int]:
+    """Bounds that cut rows of ``width`` into runs, in order: from where the
+    last run ended, each takes the most rows whose widths sum to at most
+    ``cap``, and at least one: one ``searchsorted`` per run."""
+    end = np.concatenate([[0], np.cumsum(width)])
+    bounds = [0]
+    while bounds[-1] < len(width):
+        a = bounds[-1]
+        bounds.append(max(a + 1, int(np.searchsorted(end, end[a] + cap, "right")) - 1))
+    return bounds
 
 
 def _ranks(strings: list[str], ids: Iterable[int]) -> tuple[list[int], np.ndarray]:

@@ -24,9 +24,9 @@ over all its directed core entries. ``_relax`` finds the distances from every
 pinned seed, one search row per pair and seed, by pushes from the slots that
 improved, over flat arrays, at most ``_CHUNK`` core entries and slots of
 search rows at a time.
-One rule, ``_cuts``, cuts both the batches and the chunks from a cumulative
-sum. ``_cells`` lays the distances out as each pair's flat forward and
-backward matrices (``Matrices``). ``pair_matrices``, ``distance_matrix``,
+One rule, ``kg._cuts``, cuts both the batches and the chunks from a
+cumulative sum. ``_cells`` lays the distances out as each pair's flat forward
+and backward matrices (``Matrices``). ``pair_matrices``, ``distance_matrix``,
 ``node_pair_distance`` and ``sed_variant`` are the same code on a batch of one
 union, priced by the scalar ``cost()`` of any costs object.
 
@@ -69,7 +69,7 @@ from .articles import (
 )
 from .delimited import Number, read_table, write_table
 from .errors import InputDataError
-from .kg import KnowledgeGraph, _csr, distinct, peel
+from .kg import KnowledgeGraph, _csr, _cuts, distinct, peel
 from .subgraph import ExpansionConfig, SubGraph, expand_many, offsets, ranges
 from .weighting import EdgeCosts, WeightingScheme
 
@@ -166,18 +166,6 @@ def _core_batch(g: KnowledgeGraph, price: Price, members: Sequence[Sequence[np.n
     del su, sv
     out = price(np.repeat(node, np.diff(row)), node[near], edge[at])
     return near, out, row, first, pin_local
-
-
-def _cuts(width: np.ndarray, cap: int) -> list[int]:
-    """Bounds that cut rows of ``width`` into runs, in order: from where the
-    last run ended, each takes the most rows whose widths sum to at most
-    ``cap``, and at least one: one ``searchsorted`` per run."""
-    end = np.concatenate([[0], np.cumsum(width)])
-    bounds = [0]
-    while bounds[-1] < len(width):
-        a = bounds[-1]
-        bounds.append(max(a + 1, int(np.searchsorted(end, end[a] + cap, "right")) - 1))
-    return bounds
 
 
 def _relax(near: np.ndarray, out: np.ndarray, row: np.ndarray, first: np.ndarray,

@@ -95,9 +95,10 @@ def expand_many(g: KnowledgeGraph, seeds: Sequence[Sequence[int]],
 
     The seed lists hold valid node indices. One pass expands them all: keys
     ``article * len(g) + node`` for members and ``article * num_edges + edge``
-    for edges. The rows gathered at the hops before the last are the rows of
-    the nodes strictly inside the radius, and an edge is kept when such a row
-    leads to a member, as ``expand`` defines.
+    for edges. The rows gathered are the rows of the nodes strictly inside the
+    radius, and every edge on them is kept, as ``expand`` defines: the
+    neighbour at its other end lies within the radius, so it is a member
+    already and needs no lookup.
     """
     n, m = len(g), max(g.num_edges, 1)
     frontier = distinct(offsets([len(s) for s in seeds], n)
@@ -109,11 +110,11 @@ def expand_many(g: KnowledgeGraph, seeds: Sequence[Sequence[int]],
         count = g.indptr[node + 1] - start
         at = ranges(start, count)
         near = np.repeat(article * n, count) + g.indices[at]
-        rows.append((near, np.repeat(article * m, count) + g.edge_id[at]))
+        rows.append(np.repeat(article * m, count) + g.edge_id[at])
         frontier = distinct(near)
         frontier = frontier[~contains(seen, frontier)]
         seen = np.sort(np.concatenate([seen, frontier]))
-    edges = distinct(np.concatenate([e[contains(seen, v)] for v, e in rows]))
+    edges = distinct(np.concatenate(rows))
     split = np.arange(len(seeds) + 1)
     bound_m, bound_e = np.searchsorted(seen, split * n), np.searchsorted(edges, split * m)
     return ([seen[a:b] - i * n for i, (a, b) in enumerate(zip(bound_m, bound_m[1:]))],

@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InputDataError
-from .kg import KnowledgeGraph, _run_starts, distinct
+from .kg import KnowledgeGraph, _cuts, _run_starts, distinct
 from .subgraph import contains, ranges
 
 
@@ -191,7 +191,11 @@ class EdgeCosts:
     each marked probe exactly. The table has no false negatives, since equal
     keys hash equally, so k is exact. Its hash is a fixed multiplier, so k does
     not depend on ``PYTHONHASHSEED``. The table takes at most four times the
-    bytes of its keys.
+    bytes of its keys. The probes are made in runs of at most ``_PROBE_CAP``
+    unless one edge is wider, so a call holds one run's probes at a time, not
+    the batch's; each edge is counted whole within one run, so the runs cannot
+    change k. The counts go into a table with one entry per graph edge, as
+    the symmetric schemes' costs do.
 
     The scalar ``cost`` is the definition that ``gather`` must equal, and it
     serves the batch-of-one calls (``scoring.distance_matrix`` and friends):
@@ -237,6 +241,12 @@ class EdgeCosts:
         return 1.0 - _shared_counts(g, degree, edge) / (degree[source] + 1)
 
 
+# One run of ``_shared_counts`` builds at most this many probes, unless one
+# edge alone is wider: its temporaries then take a few MB, however many probes
+# the batch makes (8.5 million, 205 MB built at once, on a 2M-edge graph).
+_PROBE_CAP = 2 ** 16
+
+
 def _shared_counts(g: KnowledgeGraph, degree: np.ndarray, edge: np.ndarray) -> np.ndarray:
     """``2 + |N(u) & N(v)|`` for each edge (u, v) of ``edge``, the size of its
     ends' closed-neighbourhood intersection, counted once per distinct edge:
@@ -257,24 +267,41 @@ def _shared_counts(g: KnowledgeGraph, degree: np.ndarray, edge: np.ndarray) -> n
     So the count is exact, whatever the hash. The hash is fixed integer
     arithmetic, not Python's ``hash()``, and does not depend on
     ``PYTHONHASHSEED``.
+
+    The mark table and ``keys`` are built once. The probes are built, filtered
+    and verified in runs of distinct edges, cut by ``kg._cuts`` at
+    ``_PROBE_CAP`` summed walk widths; an edge wider than the cap is a run of
+    its own. A count is per edge, and every edge's probes sit in one run, so
+    the runs cannot change it. Beside the mark table, ``keys`` and arrays over
+    the distinct edges, a call so holds the temporaries of one run:
+    O(``_PROBE_CAP``) bytes, however many probes the batch makes. Each run
+    writes its counts into a table with one entry per graph edge, and the
+    queried edges read it.
     """
     edges = distinct(edge)
     u, v = g.edge_u[edges], g.edge_v[edges]
     low = degree[u] <= degree[v]
     walk, other = np.where(low, u, v), np.where(low, v, u)
+    del u, v, low
     rows = distinct(other)
     keys = np.repeat(rows * len(g), degree[rows])
     keys += g.indices[ranges(g.indptr[rows], degree[rows])]
-    width = degree[walk]
-    probe = np.repeat(other * len(g), width) + g.indices[ranges(g.indptr[walk], width)]
+    del rows
     bits = len(keys).bit_length() + 4
     mark = np.zeros(1 << bits, dtype=bool)
     mark[_bucket(keys, bits)] = True
-    likely = np.flatnonzero(mark[_bucket(probe, bits)])
-    hit = likely[contains(keys, probe[likely])]
-    # probes run edge by edge, ``width`` per edge
-    shared = np.bincount(np.searchsorted(np.cumsum(width), hit, "right"), minlength=len(edges))
-    return (2 + shared)[np.searchsorted(edges, edge)]
+    width = degree[walk]
+    k = np.empty(g.num_edges, dtype=np.int64)
+    bounds = _cuts(width, _PROBE_CAP)
+    for a, b in zip(bounds, bounds[1:]):
+        w = width[a:b]
+        probe = np.repeat(other[a:b] * len(g), w) + g.indices[ranges(g.indptr[walk[a:b]], w)]
+        likely = np.flatnonzero(mark[_bucket(probe, bits)])
+        hit = likely[contains(keys, probe[likely])]
+        # probes run edge by edge, ``w`` per edge
+        shared = np.bincount(np.searchsorted(np.cumsum(w), hit, "right"), minlength=b - a)
+        k[edges[a:b]] = 2 + shared
+    return k[edge]
 
 
 # 2 ** 64 over the golden ratio, made odd: Fibonacci hashing's multiplier

@@ -491,6 +491,32 @@ def test_convert_bad_input_leaves_no_output(tmp_path, capsys, fault, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("earlier", ["annotations.csv", "articles"])
+def test_convert_refuses_an_earlier_output(tmp_path, capsys, earlier):
+    """A second conversion into the same root exits 2 naming what is there,
+    and writes nothing: a stale article there would be loaded as a new one."""
+    raw = tmp_path / "raw"
+    (raw / "docs").mkdir(parents=True)
+    for aid in ("a1", "a2"):
+        (raw / "docs" / f"{aid}.txt").write_text(f"Title {aid}\nBody.")
+    rows = ["pair_id,article_a,article_b,annotator,q1,q2"]
+    rows += [f"px,a1,a2,{ann},0,1" for ann in range(1, 7)]
+    (raw / "ratings.csv").write_text("\n".join(rows) + "\n")
+    out = tmp_path / "canonical"
+    argv = ["convert", "--articles", str(raw / "docs"),
+            "--ratings", str(raw / "ratings.csv"), "--out", str(out)]
+    assert main(argv) == 0
+    if earlier == "articles":
+        (out / "annotations.csv").unlink()
+    (out / "articles" / "zzz.txt").write_text("Stale\nBody.")
+    before = sorted((p.relative_to(out), p.read_bytes()) for p in out.rglob("*") if p.is_file())
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert f"output already exists: {out / earlier}" in capsys.readouterr().err
+    assert sorted((p.relative_to(out), p.read_bytes())
+                  for p in out.rglob("*") if p.is_file()) == before
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -20,7 +20,7 @@ from sedrec.articles import (
 )
 from sedrec.errors import InputDataError
 from sedrec.evaluation import load_cnrec
-from sedrec.kg import PruneConfig, build_graph, parse_ntriples
+from sedrec.kg import PruneConfig, _cuts, build_graph, parse_ntriples
 from sedrec import scoring
 from sedrec.scoring import (
     DISCONNECTED,
@@ -773,7 +773,7 @@ def test_chunk_cuts_split_rows_in_order():
         for _ in range(60):
             widths = [rng.choice([1, 2, 5, 9, 30, cap, cap + 1, 3 * cap])
                       for _ in range(rng.randint(0, 40))]
-            bounds = scoring._cuts(np.array(widths, dtype=np.int64), cap)
+            bounds = _cuts(np.array(widths, dtype=np.int64), cap)
             assert bounds[0] == 0 and bounds[-1] == len(widths)
             for a, b in zip(bounds, bounds[1:]):
                 assert a < b
@@ -800,7 +800,7 @@ def batch_loop(grows, cap):
 @settings(max_examples=300, deadline=None)
 def test_cuts_equal_the_batch_loop(widths, cap):
     """Zero widths and widths above ``cap`` included."""
-    assert scoring._cuts(np.array(widths, dtype=np.int64), cap) == batch_loop(widths, cap)
+    assert _cuts(np.array(widths, dtype=np.int64), cap) == batch_loop(widths, cap)
 
 
 class CountingCosts(EdgeCosts):

@@ -1,6 +1,9 @@
+import gc
 import hashlib
 import math
 import random
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -318,6 +321,11 @@ def test_edge_costs_match_scheme_functions(g, scheme):
             assert costs.cost(a, b, e) == want
 
 
+# probe caps of 1 and 3 put every edge alone in its run, and a row wider than
+# the cap in a run of its own; the module's cap keeps the test ids unsuffixed
+PROBE_CAPS = {"": weighting._PROBE_CAP, "-cap1": 1, "-cap3": 3}
+
+
 def priced_both_ways(g):
     return [step for e, (u, v) in enumerate(g.edge_endpoints) for step in ((u, v, e), (v, u, e))]
 
@@ -331,15 +339,17 @@ def priced_both_ways(g):
 @settings(max_examples=120)
 def test_gather_equals_scalar_cost(g, scheme, rng):
     """Every directed edge once, then a shuffled draw with repeats that may be
-    empty; the examples hold RWS zero-cost edges (a triangle, an isolated
-    pair) and edgeless graphs."""
+    empty, under each of ``PROBE_CAPS``; the examples hold RWS zero-cost edges
+    (a triangle, an isolated pair) and edgeless graphs."""
     costs = EdgeCosts(g, scheme)
     steps = priced_both_ways(g)
     draws = [rng.choice(steps) for _ in range(rng.randint(0, 2 * len(steps)))] if steps else []
     for query in (steps, draws, []):
-        got = costs.gather(*np.array(query, dtype=np.int64).reshape(-1, 3).T)
-        assert got.dtype == np.float64
-        assert got.tolist() == [costs.cost(*step) for step in query]
+        for cap in PROBE_CAPS.values():
+            with mock.patch.object(weighting, "_PROBE_CAP", cap):
+                got = costs.gather(*np.array(query, dtype=np.int64).reshape(-1, 3).T)
+            assert got.dtype == np.float64
+            assert got.tolist() == [costs.cost(*step) for step in query], cap
 
 
 def rws_batches():
@@ -364,10 +374,14 @@ def rws_batches():
 
 
 @pytest.mark.parametrize("case", list(rws_batches()))
-@pytest.mark.parametrize("hashing", ["fixed", "constant"])
-def test_rws_gather_bytes_equal_scalar_cost(monkeypatch, case, hashing):
+@pytest.mark.parametrize("hashing, cap", [(h, c) for c in PROBE_CAPS.values()
+                                          for h in ("fixed", "constant")],
+                         ids=[h + i for i in PROBE_CAPS for h in ("fixed", "constant")])
+def test_rws_gather_bytes_equal_scalar_cost(monkeypatch, case, hashing, cap):
     """RWS ``gather`` on adversarial batches is byte-equal to ``cost``, also
-    when every key hashes alike and the filter lets every probe through."""
+    when every key hashes alike and the filter lets every probe through, and
+    whatever the probe runs."""
+    monkeypatch.setattr(weighting, "_PROBE_CAP", cap)
     if hashing == "constant":
         monkeypatch.setattr(weighting, "_bucket", lambda key, bits: np.zeros(len(key), np.int64))
     g, query = rws_batches()[case]
@@ -376,6 +390,53 @@ def test_rws_gather_bytes_equal_scalar_cost(monkeypatch, case, hashing):
     want = np.array([costs.cost(*step) for step in query], dtype=np.float64)
     assert got.dtype == np.float64 and len(got) == len(query)
     assert got.tobytes() == want.tobytes()
+
+
+def hub_and_leaves_graph(hubs, leaves):
+    """``hubs`` pairwise-linked hubs, each with ``leaves`` leaves of its own:
+    every hub-hub edge walks a hub's whole row, so the probes far outnumber
+    the edges."""
+    pairs = [(a, b) for a in range(hubs) for b in range(a + 1, hubs)]
+    pairs += [(h, hubs + h * leaves + i) for h in range(hubs) for i in range(leaves)]
+    n = hubs + hubs * leaves
+    return KnowledgeGraph([f"m.{i:06d}" for i in range(n)], [f"N{i}" for i in range(n)],
+                          sorted(pairs), [("rel",)] * len(pairs))
+
+
+def test_rws_gather_memory_is_bounded_by_one_probe_run():
+    """RWS ``gather``'s tracemalloc peak, over every edge of a star-heavy graph
+    once, is at most the mark table, the keys, four int64 arrays over the
+    nodes and edges and six runs of ``_PROBE_CAP`` int64 probes, and does not
+    grow with the probes: doubling them at about the same edge count moves it
+    by less than one run. Measured here: 5.98 and 6.02 MB for 606,348 and
+    1,229,016 probes (9 and 19 runs) against bounds of 7.66 and 7.71 MB; probing
+    the whole batch at once peaked at 18.1 and 33.1 MB."""
+    run = 8 * weighting._PROBE_CAP
+    peaks = []
+    for hubs, leaves in ((24, 2000), (48, 1000)):
+        g = hub_and_leaves_graph(hubs, leaves)
+        costs = EdgeCosts(g, WeightingScheme.RWS)
+        edge = np.arange(g.num_edges)
+        source, target = g.edge_u[edge], g.edge_v[edge]
+        degree = np.diff(g.indptr)
+        probes = int(np.minimum(degree[source], degree[target]).sum())
+        assert probes >= 8 * weighting._PROBE_CAP
+        # the other ends are the hubs, and the mark table is sized by their keys
+        keys = int(degree[:hubs].sum())
+        mark = 1 << (keys.bit_length() + 4)
+        costs.gather(source, target, edge)  # warm imports
+        gc.collect()
+        tracemalloc.start()
+        try:
+            costs.gather(source, target, edge)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bound = mark + 8 * keys + 4 * 8 * (len(g) + g.num_edges) + 6 * run
+        assert peak <= bound, (hubs, leaves, probes, peak, bound)
+        peaks.append((probes, peak))
+    (few, low), (many, high) = peaks
+    assert many > 2 * few and abs(high - low) < run, peaks
 
 
 @given(random_graph(), st.sampled_from([WeightingScheme.AF, WeightingScheme.IAF,
