@@ -122,16 +122,28 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-def tfidf_vectors(corpus: Mapping[str, Article]) -> dict[str, dict[str, float]]:
+class TermWeights(dict):
+    """One article's TF-IDF weights, term -> weight, in the order the terms
+    first occur in its text, and ``ranked``: the same terms by weight
+    (descending, ties broken lexicographically).
+
+    The dict keeps its insertion order because ``scoring.baseline_distance``
+    sums over it, and a sum in another order can move the last ulp.
+    """
+
+    __slots__ = ("ranked",)
+
+
+def tfidf_vectors(corpus: Mapping[str, Article]) -> dict[str, TermWeights]:
     """Raw-count TF-IDF term weights per article.
 
     Stop words are removed, as are terms present in over 80% of the corpus.
     Weight is tf * ln(N / df).
 
     The last result is kept and returned again for a corpus of equal content
-    in the same order, so every scoring run over one corpus shares one build.
-    The returned mapping and its inner mappings are therefore shared: read
-    them, never change them.
+    in the same order, so every scoring run over one corpus shares one build,
+    and ranks each article's terms once. The returned mapping and its inner
+    mappings are therefore shared: read them, never change them.
     """
     if not corpus:
         raise ValueError("corpus is empty")
@@ -140,7 +152,7 @@ def tfidf_vectors(corpus: Mapping[str, Article]) -> dict[str, dict[str, float]]:
 
 # keyed by content, not identity: Article is frozen and hashes its fields
 @functools.lru_cache(maxsize=1)
-def _tfidf(corpus: tuple[tuple[str, Article], ...]) -> dict[str, dict[str, float]]:
+def _tfidf(corpus: tuple[tuple[str, Article], ...]) -> dict[str, TermWeights]:
     counts = {aid: Counter(t for t in tokenize(a.text) if t not in STOP_WORDS)
               for aid, a in corpus}
     df: Counter = Counter()
@@ -149,26 +161,28 @@ def _tfidf(corpus: tuple[tuple[str, Article], ...]) -> dict[str, dict[str, float
     n = len(corpus)
     cutoff = 0.8 * n
     idf = {t: math.log(n / d) for t, d in df.items() if d <= cutoff}
-    return {
-        aid: {t: tf * idf[t] for t, tf in c.items() if t in idf}
-        for aid, c in counts.items()
-    }
+    out = {}
+    for aid, c in counts.items():
+        weights = out[aid] = TermWeights((t, tf * idf[t]) for t, tf in c.items() if t in idf)
+        weights.ranked = tuple(sorted(weights, key=lambda t: (-weights[t], t)))
+    return out
 
 
 def augment_context_words(article: Article, kg: KnowledgeGraph,
-                          tfidf: Mapping[str, Mapping[str, float]],
+                          tfidf: Mapping[str, TermWeights],
                           cfg: ContextWordConfig = ContextWordConfig()) -> set[str]:
     """Graph nodes whose titles exactly match the article's top TF-IDF words.
 
-    Terms are scanned by weight (descending, ties broken lexicographically);
-    a term qualifies when it case-insensitively equals some node title, and
-    the first ``n_words`` qualifying terms are returned as node identifiers.
+    ``tfidf`` is ``tfidf_vectors``' result. Terms are scanned in its ranked
+    order, by weight (descending, ties broken lexicographically); a term
+    qualifies when it case-insensitively equals some node title, and the
+    first ``n_words`` qualifying terms are returned as node identifiers.
     """
     if cfg.n_words == 0:
         return set()
-    weights = tfidf.get(article.id, {})
+    weights = tfidf.get(article.id)
     found: set[str] = set()
-    for term in sorted(weights, key=lambda t: (-weights[t], t)):
+    for term in weights.ranked if weights is not None else ():
         node = kg.title_to_node(term)
         if node is not None:
             found.add(kg.ids[node])

@@ -5,6 +5,13 @@ votes (0/1) per article pair. Two labeling families derive positives from
 them: "good recommendation" (mean vote at or above a threshold) and "diverse
 recommendation" (additionally at least half the raters found the pair not
 very similar).
+
+``evaluate_scores`` works on arrays in sorted pair order: each condition's
+labels and each method's decisions are boolean arrays, the confusion cells
+are ``np.count_nonzero`` counts over all methods at once, and each method's
+z-scores are correlated against one target array ranked once.
+``label_pairs``, ``confusion_and_f1`` and ``correlations`` are batch-of-one
+calls of the same code.
 """
 
 from __future__ import annotations
@@ -146,13 +153,22 @@ def label_pairs(records: Iterable[AnnotationRecord],
     half the raters to judge the pair not very similar (rating <= 1). Both
     thresholds are inclusive.
     """
-    out = {}
-    for r in records:
-        positive = sum(r.q2) >= len(r.q2) * cond.threshold
+    records = list(records)
+    return dict(zip((r.pair_id for r in records), _labels(records, [cond])[0].tolist()))
+
+
+def _labels(records: Sequence[AnnotationRecord],
+            conditions: Sequence[EvalCondition]) -> np.ndarray:
+    """``label_pairs`` as a boolean array: row ``c`` holds each record's
+    label under ``conditions[c]``, in record order."""
+    votes = np.array([(sum(r.q2), len(r.q2), sum(1 for v in r.q1 if v <= 1), len(r.q1))
+                      for r in records], dtype=np.int64).reshape(-1, 4)
+    q2, n2, low, n1 = votes.T
+    out = np.empty((len(conditions), len(records)), dtype=bool)
+    for row, cond in zip(out, conditions):
+        row[:] = q2 >= n2 * cond.threshold
         if cond.family == "DR":
-            low_similarity = sum(1 for v in r.q1 if v <= 1)
-            positive = positive and low_similarity * 2 >= len(r.q1)
-        out[r.pair_id] = positive
+            row &= low * 2 >= n1
     return out
 
 
@@ -200,13 +216,24 @@ def confusion_and_f1(labels: Mapping[str, bool],
     if set(labels) != set(decisions):
         diff = sorted(set(labels) ^ set(decisions))[:5]
         raise InputDataError(f"label and decision pair sets differ (e.g. {diff})")
-    tp = fp = tn = fn = 0
-    for pid, truth in labels.items():
-        if decisions[pid]:
-            tp, fp = (tp + 1, fp) if truth else (tp, fp + 1)
-        else:
-            fn, tn = (fn + 1, tn) if truth else (fn, tn + 1)
-    return ConfusionMetrics.from_counts(tp, fp, tn, fn)
+    pids = list(labels)
+    return _confusions(_columns([labels], pids, bool)[0], _columns([decisions], pids, bool))[0]
+
+
+def _columns(maps: Sequence[Mapping[str, object]], pids: Sequence[str], dtype) -> np.ndarray:
+    """Row ``i`` holds ``maps[i]``'s values at ``pids``, in order."""
+    return np.array([list(map(m.__getitem__, pids)) for m in maps],
+                    dtype=dtype).reshape(len(maps), len(pids))
+
+
+def _confusions(labels: np.ndarray, decisions: np.ndarray) -> list[ConfusionMetrics]:
+    """The confusion metrics of each row of the boolean matrix ``decisions``
+    against the boolean ``labels``."""
+    tp = np.count_nonzero(decisions & labels, axis=1).tolist()
+    said = np.count_nonzero(decisions, axis=1).tolist()
+    true, total = int(np.count_nonzero(labels)), len(labels)
+    return [ConfusionMetrics.from_counts(t, s - t, total - true - s + t, true - t)
+            for t, s in zip(tp, said)]
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
@@ -239,11 +266,16 @@ def correlations(scores: Mapping[str, float],
     if len(scores) < 3:
         raise ValueError("correlations need at least three pairs")
     pids = sorted(scores)
-    x = np.asarray([scores[p] for p in pids], dtype=np.float64)
-    y = np.asarray([targets[p] for p in pids], dtype=np.float64)
-    pearson = _pearson(x, y)
-    spearman = _pearson(_average_ranks(x), _average_ranks(y))
-    return pearson, spearman
+    return _correlations(_columns([scores], pids, np.float64),
+                         _columns([targets], pids, np.float64)[0])[0]
+
+
+def _correlations(scores: np.ndarray, target: np.ndarray
+                  ) -> list[tuple[float | None, float | None]]:
+    """``correlations`` of each row of ``scores`` against ``target``, whose
+    ranks are computed once."""
+    ranks = _average_ranks(target)
+    return [(_pearson(x, target), _pearson(_average_ranks(x), ranks)) for x in scores]
 
 
 @dataclass
@@ -291,9 +323,9 @@ def check_pair_sets(records: Sequence[AnnotationRecord],
     records' pairs and there are at least three of them to correlate."""
     expected = {r.pair_id for r in records}
     for method, pairs in pairs_by_method.items():
-        missing = expected - set(pairs)
-        extra = set(pairs) - expected
-        if missing or extra:
+        got = set(pairs)
+        if got != expected:
+            missing, extra = expected - got, got - expected
             example = sorted(missing or extra)[:5]
             raise InputDataError(
                 f"method {method!r} pair set mismatch: "
@@ -308,17 +340,27 @@ def evaluate_scores(records: Sequence[AnnotationRecord],
                     z_by_method: Mapping[str, Mapping[str, float]],
                     conditions: Sequence[EvalCondition] = STANDARD_CONDITIONS,
                     ) -> MetricsReport:
-    """Join method decisions with benchmark labels across all conditions."""
+    """Join method decisions with benchmark labels across all conditions.
+
+    The pair ids go in sorted order once. Every condition's labels and every
+    method's decisions and z-scores become arrays in that order: the
+    confusion cells are counted per condition over all methods at once, and
+    each method is correlated against one mean-vote target, ranked once.
+    """
     check_pair_sets(records, decisions_by_method)
-    mean_q2 = {r.pair_id: r.mean_q2 for r in records}
+    # a repeated pair id keeps its last record, as a dict built in order would
+    last = {r.pair_id: i for i, r in enumerate(records)}
+    if any(zs.keys() != last.keys() for zs in z_by_method.values()):
+        raise InputDataError("score and target pair sets differ")
+    pids = sorted(last)
+    ordered = [records[last[p]] for p in pids]
+    decisions = _columns(list(decisions_by_method.values()), pids, bool)
     entries = {}
-    for cond in conditions:
-        labels = label_pairs(records, cond)
-        for method, decisions in decisions_by_method.items():
-            entries[(method, cond.label)] = confusion_and_f1(labels, decisions)
-    corr = {}
-    for method, zs in z_by_method.items():
-        negated = {p: -z for p, z in zs.items()}
-        corr[method] = correlations(negated, mean_q2)
+    for cond, labels in zip(conditions, _labels(ordered, conditions)):
+        for method, m in zip(decisions_by_method, _confusions(labels, decisions)):
+            entries[(method, cond.label)] = m
+    target = np.array([r.mean_q2 for r in ordered], dtype=np.float64)
+    negated = -_columns(list(z_by_method.values()), pids, np.float64)
+    corr = dict(zip(z_by_method, _correlations(negated, target)))
     return MetricsReport(conditions=list(conditions), entries=entries,
                          correlations=corr)

@@ -12,12 +12,17 @@ substitutes the disconnection penalty for unreachable or unresolvable seeds,
 and applies the ROW/SYM/AVG rule. ``score_sed`` runs both passes;
 ``sed_variant`` is the same two steps for a single pair.
 
-Pass one runs in one process, on arrays throughout. ``subgraph.expand_many``
-expands every article at once. The pairs go in batches of at most
-``_BATCH_EDGES`` union edges, or the graph's edge count when that is larger,
-and ``_core_batch`` builds the core graphs of a batch in one numpy pass:
-union edges keyed ``pair * E + edge``, node slots keyed ``pair * n + node``,
-the members of union degree <= 1 that are not pinned seeds removed by
+Pass one runs in one process, on ragged arrays throughout, with no Python
+loop over pairs or articles past reading the ids. The seeds of every
+article are one flat node array with per-article bounds, and the pairs two
+arrays of article indices. ``subgraph.expand_many`` expands every article at
+once into article-keyed member and edge arrays with per-article bounds. The
+pairs go in batches of at most ``_BATCH_EDGES`` union edges, or the graph's
+edge count when that is larger; ``_chunk_matrices`` gathers each batch's
+union keys from the ragged arrays with ``ranges``, rekeyed pair by pair, and
+``_core_batch`` builds the core graphs of a batch in one numpy pass: union
+edges keyed ``pair * E + edge``, node slots keyed ``pair * n + node``, the
+members of union degree <= 1 that are not pinned seeds removed by
 ``kg.peel``, slots numbered pair by pair in sorted member order, rows
 grouped by slot from ``kg._csr``, and one ``EdgeCosts.gather`` per batch
 over all its directed core entries. ``_relax`` finds the distances from every
@@ -53,7 +58,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -122,13 +127,14 @@ _CHUNK = 2 ** 16
 Price = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
-def _core_batch(g: KnowledgeGraph, price: Price, members: Sequence[Sequence[np.ndarray]],
-                edges: Sequence[Sequence[np.ndarray]], pins: np.ndarray):
-    """Core graphs of a batch of unions, in arrays.
+def _core_batch(g: KnowledgeGraph, price: Price, members: np.ndarray, edges: np.ndarray,
+                pins: np.ndarray, pairs: int):
+    """Core graphs of a batch of ``pairs`` unions, in arrays.
 
-    Union ``p`` is the union of the arrays ``members[p]`` and ``edges[p]``;
-    ``pins`` holds the keys ``p * len(g) + node`` of its pinned members, sorted
-    and distinct. Slots are numbered pair by pair in sorted member order.
+    Union ``p`` has the member keys ``p * len(g) + node`` in ``members``, the
+    edge keys ``p * max(g.num_edges, 1) + edge`` in ``edges`` and the keys of
+    its pinned members in ``pins``, each array sorted and distinct. Slots are
+    numbered pair by pair in sorted member order.
     Returns the directed core entries grouped by slot, then sorted by
     neighbour: each entry's neighbour slot and its out-cost, the cost of the
     step from the slot to that neighbour; each slot's first entry ``row``, one
@@ -138,23 +144,16 @@ def _core_batch(g: KnowledgeGraph, price: Price, members: Sequence[Sequence[np.n
     neighbour's, whether or not other pairs hold the same edge.
     """
     n, m = len(g), max(g.num_edges, 1)
-
-    def keyed(parts, width):
-        keys = np.concatenate([x for part in parts for x in part])
-        keys += offsets([sum(map(len, part)) for part in parts], width)
-        return distinct(keys)
-
-    pair, edge = np.divmod(keyed(edges, m), m)
-    slots = keyed(members, n)
-    su = np.searchsorted(slots, pair * n + g.edge_u[edge])
-    sv = np.searchsorted(slots, pair * n + g.edge_v[edge])
+    pair, edge = np.divmod(edges, m)
+    su = np.searchsorted(members, pair * n + g.edge_u[edge])
+    sv = np.searchsorted(members, pair * n + g.edge_v[edge])
     del pair
-    pins = np.searchsorted(slots, pins)
-    keep, su, sv, edge = peel(len(slots), pins, su, sv, edge)
+    pins = np.searchsorted(members, pins)
+    keep, su, sv, edge = peel(len(members), pins, su, sv, edge)
     rank = np.cumsum(keep) - 1
-    kept = slots[keep]
-    del slots, keep
-    first = np.searchsorted(kept, np.arange(len(members) + 1) * n)
+    kept = members[keep]
+    del keep
+    first = np.searchsorted(kept, np.arange(pairs + 1) * n)
     node = kept % n
     pins = rank[pins]
     pin_local = pins - first[kept[pins] // n]
@@ -263,23 +262,19 @@ class Matrices:
                 self.backward[at:at + r * c].reshape(c, r).tolist())
 
 
-def _batch_matrices(g: KnowledgeGraph, price: Price, members, edges,
-                    queries: Sequence[tuple[np.ndarray, np.ndarray]]) -> Matrices:
-    """Forward and backward matrices of each union between its two seed
-    arrays ``queries[p]`` (node ids, -1 for a seed outside the union), over
-    one core graph pinned at both."""
+def _batch_matrices(g: KnowledgeGraph, price: Price, members: np.ndarray, edges: np.ndarray,
+                    k1: np.ndarray, k2: np.ndarray, rows: np.ndarray,
+                    cols: np.ndarray) -> Matrices:
+    """Forward and backward matrices of each union of a batch between its two
+    seed lists, over one core graph pinned at both. ``members`` and
+    ``edges`` are the unions' ``_core_batch`` keys; pair ``p``'s seed lists
+    are its next ``rows[p]`` keys of ``k1`` and ``cols[p]`` keys of ``k2``,
+    each ``p * len(g) + node``, or -1 for a seed outside the union."""
     n = len(g)
-    rows, cols = (np.array([len(q[i]) for q in queries], dtype=np.int64) for i in (0, 1))
-
-    def keys(i, sizes):
-        nodes = np.concatenate([q[i] for q in queries])
-        return np.where(nodes < 0, -1, offsets(sizes, n) + nodes)
-
-    k1, k2 = keys(0, rows), keys(1, cols)
     pins = distinct(np.concatenate([k1[k1 >= 0], k2[k2 >= 0]]))
     pin_pair = pins // n
-    pin_first = np.searchsorted(pin_pair, np.arange(len(queries) + 1))
-    dist = _relax(*_core_batch(g, price, members, edges, pins), pin_pair, pin_first)
+    pin_first = np.searchsorted(pin_pair, np.arange(len(rows) + 1))
+    dist = _relax(*_core_batch(g, price, members, edges, pins, len(rows)), pin_pair, pin_first)
     count = np.diff(pin_first)[pin_pair]
     at = np.cumsum(count) - count
     i1, i2 = (np.where(k < 0, -1, np.searchsorted(pins, k)) for k in (k1, k2))
@@ -288,7 +283,7 @@ def _batch_matrices(g: KnowledgeGraph, price: Price, members, edges,
 
 
 def _array(values: frozenset[int]) -> np.ndarray:
-    return np.fromiter(values, np.int64, len(values))
+    return np.sort(np.fromiter(values, np.int64, len(values)))
 
 
 def _union_nodes(u: SubGraph, ids: Sequence[str]) -> np.ndarray:
@@ -299,13 +294,15 @@ def _union_nodes(u: SubGraph, ids: Sequence[str]) -> np.ndarray:
 
 def _union_matrices(u: SubGraph, costs, n1: np.ndarray, n2: np.ndarray) -> Matrices:
     """``_batch_matrices`` of one union, priced by one scalar ``costs.cost()``
-    per distinct directed edge: any object with that method will do."""
+    per distinct directed edge: any object with that method will do. The one
+    pair's keys are the node and edge indices themselves."""
     def price(source, target, edge):
         return np.fromiter(map(costs.cost, memoryview(source), memoryview(target),
                                memoryview(edge)), np.float64, len(edge))
 
-    return _batch_matrices(u.parent, price, [(_array(u.members),)], [(_array(u.edges),)],
-                           [(n1, n2)])
+    return _batch_matrices(u.parent, price, _array(u.members), _array(u.edges), n1, n2,
+                           np.array([len(n1)], dtype=np.int64),
+                           np.array([len(n2)], dtype=np.int64))
 
 
 def node_pair_distance(u: SubGraph, costs: EdgeCosts, source: int, target: int) -> float:
@@ -407,11 +404,19 @@ def sed_variant(s1: Iterable[str], s2: Iterable[str], u: SubGraph,
 
 # -------------------------------------------------------------- baselines
 
+def _square_norm(v: Mapping[str, float]) -> float:
+    return sum(w * w for w in v.values())
+
+
 def baseline_distance(v1: Mapping[str, float], v2: Mapping[str, float]) -> float:
     """Cosine distance in [0, 1]: negative similarities clamp to zero."""
+    return _cosine_distance(v1, v2, _square_norm(v1), _square_norm(v2))
+
+
+def _cosine_distance(v1: Mapping[str, float], v2: Mapping[str, float],
+                     s1: float, s2: float) -> float:
+    """``baseline_distance`` given each vector's squared norm."""
     dot = sum(w * v2[t] for t, w in v1.items() if t in v2)
-    s1 = sum(w * w for w in v1.values())
-    s2 = sum(w * w for w in v2.values())
     if s1 == 0.0 or s2 == 0.0:
         return 1.0
     cos = min(dot / math.sqrt(s1 * s2), 1.0)
@@ -459,8 +464,7 @@ def ensemble(z_columns: Mapping[str, Mapping[str, float]]) -> dict[str, float]:
 
 # ------------------------------------------------------------ score table
 
-@dataclass(frozen=True)
-class PairScore:
+class PairScore(NamedTuple):
     pair_id: str
     method: str
     raw_distance: float
@@ -556,19 +560,51 @@ def compute_seed_sets(articles: Mapping[str, Article],
     return out
 
 
-def _chunk_matrices(pairs: Sequence[Pair], graph: KnowledgeGraph, price: Price,
-                    members: Mapping[str, np.ndarray], edges: Mapping[str, np.ndarray],
-                    nodes: Mapping[str, np.ndarray]) -> Matrices:
-    """The matrices of ``pairs``, in batches cut by ``_cuts`` at
-    ``max(graph.num_edges, _BATCH_EDGES)`` union edges, counted before the
-    two articles' edges are merged."""
-    bounds = _cuts(np.array([len(edges[a]) + len(edges[b]) for _, a, b in pairs], dtype=np.int64),
-                   max(graph.num_edges, _BATCH_EDGES))
-    batches = [pairs[i:j] for i, j in zip(bounds, bounds[1:])]
-    return Matrices.concat([_batch_matrices(
-        graph, price, [(members[a], members[b]) for _, a, b in batch],
-        [(edges[a], edges[b]) for _, a, b in batch],
-        [(nodes[a], nodes[b]) for _, a, b in batch]) for batch in batches])
+def _take(values: np.ndarray, bounds: np.ndarray, index: np.ndarray):
+    """Rows ``index`` of the ragged array ``values``, whose row ``j`` is
+    ``values[bounds[j]:bounds[j + 1]]``, concatenated in order, and their
+    lengths."""
+    start = bounds[index]
+    count = bounds[index + 1] - start
+    return values[ranges(start, count)], count
+
+
+def _chunk_matrices(graph: KnowledgeGraph, price: Price, a: np.ndarray, b: np.ndarray,
+                    seeds: tuple[np.ndarray, np.ndarray],
+                    expansion: tuple[np.ndarray, ...]) -> Matrices:
+    """The matrices of the pairs of articles ``a[p]`` and ``b[p]``, in
+    batches cut by ``_cuts`` at ``max(graph.num_edges, _BATCH_EDGES)`` union
+    edges, counted before the two articles' edges are merged.
+
+    ``seeds`` holds each article's sorted seed nodes (-1 for a seed outside
+    the graph) and their bounds; ``expansion`` is ``expand_many``'s result.
+    A batch gathers its pairs' union keys from these ragged arrays, so pair
+    ``p`` of a batch holds its articles' keys rekeyed from ``article * width
+    + x`` to ``p * width + x``.
+    """
+    n, m = len(graph), max(graph.num_edges, 1)
+    members, member_bounds, edges, edge_bounds = expansion
+    size = np.diff(edge_bounds)
+    bounds = _cuts(size[a] + size[b], max(graph.num_edges, _BATCH_EDGES))
+
+    def union_keys(keys, key_bounds, width, pa, pb):
+        both = np.column_stack((pa, pb)).ravel()
+        got, count = _take(keys, key_bounds, both)
+        shift = np.repeat(np.arange(len(pa), dtype=np.int64), 2) - both
+        return distinct(got + np.repeat(shift * width, count))
+
+    def seed_keys(pa):
+        nodes, count = _take(*seeds, pa)
+        return np.where(nodes < 0, -1, offsets(count, n) + nodes), count
+
+    parts = []
+    for i, j in zip(bounds, bounds[1:]):
+        pa, pb = a[i:j], b[i:j]
+        (k1, rows), (k2, cols) = seed_keys(pa), seed_keys(pb)
+        parts.append(_batch_matrices(
+            graph, price, union_keys(members, member_bounds, n, pa, pb),
+            union_keys(edges, edge_bounds, m, pa, pb), k1, k2, rows, cols))
+    return Matrices.concat(parts)
 
 
 _PASS_ONE_FIELDS = ("expansion", "weighting", "screening", "context_words")
@@ -610,12 +646,17 @@ def pass_one(kg: KnowledgeGraph, articles: Mapping[str, Article],
             f"articles with no seed entities (no annotations or context words): {empty[:5]}"
         )
     aids = sorted(seeds)
-    nodes = {a: np.array([kg.node_index(s) if kg.has_node(s) else -1 for s in sorted(seeds[a])],
-                         dtype=np.int64) for a in aids}
-    members, edges = expand_many(kg, [nodes[a][nodes[a] >= 0] for a in aids],
-                                 cfg.expansion.radius)
-    matrices = _chunk_matrices(pairs, kg, EdgeCosts(kg, cfg.weighting).gather,
-                               dict(zip(aids, members)), dict(zip(aids, edges)), nodes)
+    lists = [sorted(seeds[a]) for a in aids]
+    nodes = np.array([kg.node_index(s) if kg.has_node(s) else -1 for ids in lists for s in ids],
+                     dtype=np.int64)
+    bounds = np.cumsum([0] + [len(ids) for ids in lists])
+    # the bounds of the resolved seeds: how many lie before each article's start
+    resolved = np.concatenate([[0], np.cumsum(nodes >= 0)])[bounds]
+    expansion = expand_many(kg, nodes[nodes >= 0], resolved, cfg.expansion.radius)
+    index = {aid: i for i, aid in enumerate(aids)}
+    a, b = (np.array([index[pair[k]] for pair in pairs], dtype=np.int64) for k in (1, 2))
+    matrices = _chunk_matrices(kg, EdgeCosts(kg, cfg.weighting).gather, a, b,
+                               (nodes, bounds), expansion)
 
     max_finite = max(float(np.max(x[np.isfinite(x)], initial=0.0))
                      for x in (matrices.forward, matrices.backward))
@@ -658,12 +699,13 @@ def score_tfidf(articles: Mapping[str, Article], pairs: Sequence[Pair],
     if len(pairs) < 2:
         raise InputDataError("scoring needs at least two article pairs")
     vectors = tfidf_vectors(articles)
+    norms = {aid: _square_norm(v) for aid, v in vectors.items()}
     raw = {}
     for pid, a, b in pairs:
         for aid in (a, b):
             if aid not in vectors:
                 raise InputDataError(f"article {aid!r} is missing from the corpus")
-        raw[pid] = baseline_distance(vectors[a], vectors[b])
+        raw[pid] = _cosine_distance(vectors[a], vectors[b], norms[a], norms[b])
     return table_from_raw(method, raw)
 
 

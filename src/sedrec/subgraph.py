@@ -1,17 +1,21 @@
 """Per-article subgraphs: bounded breadth-first expansion and pairwise unions.
 
 ``expand_many`` grows every article of a pass at once, in arrays over the
-graph's CSR rows: the article-keyed frontier ``article * n + node`` gathers
-its rows with ``np.repeat``, and each hop keeps the sorted distinct keys
-(``kg.distinct``) not seen before. ``expand`` is its one-article call and
-returns a ``SubGraph``, the frozenset form the oracles, perfbench and the
-single-pair scoring calls read.
+graph's CSR rows. It takes and returns ragged arrays: one flat array of
+every article's seeds with per-article bounds in, and the sorted
+article-keyed member keys ``article * n + node`` and edge keys ``article * E
++ edge`` with their per-article bounds out. The frontier gathers its rows
+with ``np.repeat``, and each hop keeps the sorted distinct keys
+(``kg.distinct``) not seen before. Pass one gathers each pair's union from
+these arrays with ``ranges``, never per article in Python. ``expand`` is the
+one-article call and returns a ``SubGraph``, the frozenset form the oracles,
+perfbench and the single-pair scoring calls read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -77,7 +81,7 @@ def contains(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return table[np.minimum(np.searchsorted(table, keys), len(table) - 1)] == keys
 
 
-def offsets(sizes: Sequence[int], width: int) -> np.ndarray:
+def offsets(sizes: np.ndarray, width: int) -> np.ndarray:
     """``i * width`` repeated ``sizes[i]`` times: the key offset of each
     element of ``len(sizes)`` concatenated lists."""
     return np.repeat(np.arange(len(sizes), dtype=np.int64) * width, sizes)
@@ -89,20 +93,22 @@ def ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
     return np.repeat(start - np.cumsum(count) + count, count) + np.arange(count.sum())
 
 
-def expand_many(g: KnowledgeGraph, seeds: Sequence[Sequence[int]],
-                radius: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Sorted member and edge arrays of each seed list's ``radius``-hop subgraph.
+def expand_many(g: KnowledgeGraph, nodes: np.ndarray, bounds: np.ndarray,
+                radius: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Ragged member and edge arrays of each article's ``radius``-hop subgraph.
 
-    The seed lists hold valid node indices. One pass expands them all: keys
-    ``article * len(g) + node`` for members and ``article * num_edges + edge``
-    for edges. The rows gathered are the rows of the nodes strictly inside the
-    radius, and every edge on them is kept, as ``expand`` defines: the
-    neighbour at its other end lies within the radius, so it is a member
-    already and needs no lookup.
+    Article ``i``'s seeds are ``nodes[bounds[i]:bounds[i + 1]]``, valid node
+    indices. One pass expands them all, on keys ``article * len(g) + node``
+    for members and ``article * max(g.num_edges, 1) + edge`` for edges. The
+    rows gathered are the rows of the nodes strictly inside the radius, and
+    every edge on them is kept, as ``expand`` defines: the neighbour at its
+    other end lies within the radius, so it is a member already and needs no
+    lookup. Returns the sorted member keys, their per-article bounds (article
+    ``i``'s keys run from ``member_bounds[i]`` to ``member_bounds[i + 1]``),
+    the sorted edge keys and their bounds.
     """
     n, m = len(g), max(g.num_edges, 1)
-    frontier = distinct(offsets([len(s) for s in seeds], n)
-                        + np.fromiter((x for s in seeds for x in s), np.int64))
+    frontier = distinct(offsets(np.diff(bounds), n) + nodes)
     seen, rows = frontier, []
     for _ in range(radius):
         node, article = frontier % n, frontier // n
@@ -115,10 +121,8 @@ def expand_many(g: KnowledgeGraph, seeds: Sequence[Sequence[int]],
         frontier = frontier[~contains(seen, frontier)]
         seen = np.sort(np.concatenate([seen, frontier]))
     edges = distinct(np.concatenate(rows))
-    split = np.arange(len(seeds) + 1)
-    bound_m, bound_e = np.searchsorted(seen, split * n), np.searchsorted(edges, split * m)
-    return ([seen[a:b] - i * n for i, (a, b) in enumerate(zip(bound_m, bound_m[1:]))],
-            [edges[a:b] - i * m for i, (a, b) in enumerate(zip(bound_e, bound_e[1:]))])
+    split = np.arange(len(bounds), dtype=np.int64)
+    return seen, np.searchsorted(seen, split * n), edges, np.searchsorted(edges, split * m)
 
 
 def expand(g: KnowledgeGraph, seeds: Iterable[str | int],
@@ -135,7 +139,9 @@ def expand(g: KnowledgeGraph, seeds: Iterable[str | int],
     for s in seeds:
         if not isinstance(s, str) or g.has_node(s):
             present.add(g.resolve(s))
-    (members,), (edges,) = expand_many(g, [list(present)], cfg.radius)
+    # one article, so its keys are the node and edge indices themselves
+    members, _, edges, _ = expand_many(g, np.fromiter(present, np.int64, len(present)),
+                                       np.array([0, len(present)]), cfg.radius)
     return SubGraph(
         parent=g,
         seeds=frozenset(present),

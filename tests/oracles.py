@@ -19,6 +19,10 @@ use: ``records_of`` flattens the parse's block columns into records, and
 ``kg._distinct`` replaces with one packed int64 key.
 ``average_ranks`` is the tie-averaging rank loop that
 ``evaluation._average_ranks`` replaces with one mask over the sorted values.
+``context_words_scan`` sorts an article's TF-IDF terms on every call, where
+``articles.augment_context_words`` scans the order the memo ranked once.
+``evaluate_loop`` labels, tallies and correlates pair by pair over dicts,
+where ``evaluation.evaluate_scores`` counts and correlates arrays.
 """
 
 from __future__ import annotations
@@ -496,3 +500,56 @@ def average_ranks(values):
         ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
         i = j + 1
     return ranks
+
+
+def context_words_scan(weights, kg, n_words):
+    """The node ids of the first ``n_words`` terms of ``weights``, sorted by
+    weight descending and then by term, whose text equals some node title."""
+    found = set()
+    if n_words == 0:
+        return found
+    for term in sorted(weights, key=lambda t: (-weights[t], t)):
+        node = kg.title_to_node(term)
+        if node is not None:
+            found.add(kg.ids[node])
+            if len(found) >= n_words:
+                break
+    return found
+
+
+def evaluate_loop(records, decisions_by_method, z_by_method, conditions):
+    """Each (method, condition label)'s confusion counts ``(tp, fp, tn, fn)``
+    and each method's (Pearson, Spearman) against the mean recommendation
+    vote, with None for a constant input: labels record by record (a repeated
+    pair id keeps its last record), counts tallied pair by pair, and
+    coefficients from arrays built pair by pair in sorted pair order."""
+    counts = {}
+    for cond in conditions:
+        labels = {}
+        for r in records:
+            positive = sum(r.q2) >= len(r.q2) * cond.threshold
+            if cond.family == "DR":
+                positive = positive and sum(1 for v in r.q1 if v <= 1) * 2 >= len(r.q1)
+            labels[r.pair_id] = positive
+        for method, decisions in decisions_by_method.items():
+            tp = fp = tn = fn = 0
+            for pid, truth in labels.items():
+                if decisions[pid]:
+                    tp, fp = (tp + 1, fp) if truth else (tp, fp + 1)
+                else:
+                    fn, tn = (fn + 1, tn) if truth else (fn, tn + 1)
+            counts[(method, cond.label)] = (tp, fp, tn, fn)
+    target = {r.pair_id: sum(r.q2) / len(r.q2) for r in records}
+    pids = sorted(target)
+    y = np.array([target[p] for p in pids])
+
+    def coefficient(a, b):
+        if a.std() == 0.0 or b.std() == 0.0:
+            return None
+        return float(np.corrcoef(a, b)[0, 1])
+
+    corr = {}
+    for method, zs in z_by_method.items():
+        x = np.array([-zs[p] for p in pids])
+        corr[method] = (coefficient(x, y), coefficient(average_ranks(x), average_ranks(y)))
+    return counts, corr

@@ -23,6 +23,7 @@ from sedrec import articles
 from sedrec.errors import InputDataError
 
 from helpers import graph_from_edges
+from oracles import context_words_scan
 
 
 def ann(entity, etype="PER", count=1, offset=0, article="a1"):
@@ -178,6 +179,33 @@ def test_context_words_limit(titled_graph):
     tfidf = tfidf_vectors({"a1": art, "a2": other})
     got = augment_context_words(art, titled_graph, tfidf, ContextWordConfig(2))
     assert len(got) == 2
+
+
+@st.composite
+def titled_corpora(draw):
+    """2-6 articles over a six-word vocabulary, so many terms tie on weight,
+    and a graph whose nodes carry some of the words as titles, in any case."""
+    vocab = ["ant", "bee", "cat", "dog", "eel", "fox"]
+    texts = draw(st.lists(st.lists(st.sampled_from(vocab), min_size=1, max_size=8),
+                          min_size=2, max_size=6))
+    corpus = {f"a{i}": Article(f"a{i}", "", " ".join(words)) for i, words in enumerate(texts)}
+    titled = draw(st.lists(st.sampled_from(vocab), unique=True))
+    titles = {f"m.{w}": draw(st.sampled_from([w, w.upper(), w.title()])) for w in titled}
+    g = graph_from_edges([(node, "m.hub") for node in titles] or [("m.x", "m.hub")], titles)
+    return corpus, g
+
+
+@given(titled_corpora(), st.integers(0, 4))
+@settings(max_examples=200, deadline=None)
+def test_context_words_equal_the_sorted_scan(case, n_words):
+    corpus, g = case
+    tfidf = tfidf_vectors(corpus)
+    for art in corpus.values():
+        weights = tfidf[art.id]
+        # the weights keep their first-occurrence order; only the scan is ranked
+        assert list(weights) == list(dict.fromkeys(t for t in tokenize(art.text) if t in weights))
+        got = augment_context_words(art, g, tfidf, ContextWordConfig(n_words))
+        assert got == context_words_scan(weights, g, n_words)
 
 
 def test_context_word_config_bounds():

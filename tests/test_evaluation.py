@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from sedrec.errors import InputDataError
 from sedrec.evaluation import (
+    STANDARD_CONDITIONS,
     AnnotationRecord,
+    ConfusionMetrics,
     EvalCondition,
     confusion_and_f1,
     correlations,
@@ -21,7 +23,7 @@ from sedrec.evaluation import (
 )
 from sedrec.evaluation import _average_ranks
 
-from oracles import average_ranks
+from oracles import average_ranks, evaluate_loop
 from oracles import pearson as pearson_oracle
 
 
@@ -301,3 +303,53 @@ def test_condition_nesting_properties(ratings, thr):
     decisions = {pid: (i % 2 == 0) for i, pid in enumerate(sorted(gr))}
     m = confusion_and_f1(gr, decisions)
     assert m.total == len(records)
+
+
+@st.composite
+def evaluation_inputs(draw):
+    """Ratings for 3-14 pairs, a pair id sometimes rated twice (the later
+    record counts), and 1-4 methods whose decisions and z-scores come from
+    few values, so ties and constant columns are common."""
+    n = draw(st.integers(3, 14))
+    pids = [f"p{i:02d}" for i in draw(st.permutations(range(n)))]
+    repeats = draw(st.lists(st.sampled_from(pids), max_size=2))
+    ratings = st.tuples(st.lists(st.integers(0, 2), min_size=6, max_size=6),
+                        st.lists(st.integers(0, 1), min_size=6, max_size=6))
+    records = [rec(pid, *draw(ratings)) for pid in pids + repeats]
+    methods = [f"m{i}" for i in range(draw(st.integers(1, 4)))]
+    decisions, zs = {}, {}
+    for m in methods:
+        constant = draw(st.booleans())
+        value = st.just(0.5) if constant else st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0])
+        zs[m] = {p: draw(value) for p in pids}
+        decisions[m] = {p: draw(st.booleans()) for p in pids}
+    return records, decisions, zs
+
+
+@given(evaluation_inputs())
+@settings(max_examples=200, deadline=None)
+def test_evaluate_scores_equals_per_pair_loop(case):
+    records, decisions, zs = case
+    report = evaluate_scores(records, decisions, zs, STANDARD_CONDITIONS)
+    counts, corr = evaluate_loop(records, decisions, zs, STANDARD_CONDITIONS)
+    assert list(report.entries) == list(counts)
+    for key, (tp, fp, tn, fn) in counts.items():
+        assert report.entries[key] == ConfusionMetrics.from_counts(tp, fp, tn, fn), key
+    assert report.correlations == corr
+    assert list(report.correlations) == list(corr)
+
+
+@given(evaluation_inputs(), st.sampled_from(["decisions", "z"]), st.booleans(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_evaluate_scores_rejects_mismatched_pair_sets(case, column, extra, data):
+    """A method that lacks a rated pair, or scores an unrated one, in its
+    decisions or its z-scores, raises ``InputDataError``."""
+    records, decisions, zs = case
+    target = decisions if column == "decisions" else zs
+    method = data.draw(st.sampled_from(sorted(target)))
+    if extra:
+        target[method]["unrated"] = True if column == "decisions" else 0.0
+    else:
+        del target[method][data.draw(st.sampled_from(sorted(target[method])))]
+    with pytest.raises(InputDataError):
+        evaluate_scores(records, decisions, zs, STANDARD_CONDITIONS)

@@ -277,6 +277,12 @@ def test_relaxation_spreads_a_later_improvement():
         assert pair_matrices(u, costs, s1, s2) == oracle_matrices(u, costs, s1, s2), scheme
 
 
+def keyed(sets, width):
+    """The sorted keys ``p * width + x`` of each ``x`` in ``sets[p]``."""
+    return np.array(sorted(p * width + x for p, xs in enumerate(sets) for x in xs),
+                    dtype=np.int64)
+
+
 @pytest.mark.parametrize("scheme", [WeightingScheme.RWS, WeightingScheme.JOINT_IC])
 def test_core_entries_carry_out_costs(scheme):
     """Each pair's slots are its core members in order, its entries are its
@@ -296,11 +302,11 @@ def test_core_entries_carry_out_costs(scheme):
                                       for _ in range(2)))
                               for _ in range(3)]
         rng.shuffle(unions)
-        members = [(np.array(sorted(u.members), dtype=np.int64),) for u in unions]
-        edges = [(np.array(sorted(u.edges), dtype=np.int64),) for u in unions]
-        keys = np.array(sorted(p * len(g) + x for p, u in enumerate(unions) for x in u.seeds),
-                        dtype=np.int64)
-        near, out, row, first, _ = scoring._core_batch(g, costs.gather, members, edges, keys)
+        members = keyed([u.members for u in unions], len(g))
+        edges = keyed([u.edges for u in unions], max(g.num_edges, 1))
+        keys = keyed([u.seeds for u in unions], len(g))
+        near, out, row, first, _ = scoring._core_batch(g, costs.gather, members, edges, keys,
+                                                       len(unions))
         node, want, bounds = [], [], [0]
         for u in unions:
             core = core_steps(g, u, u.seeds)
@@ -742,9 +748,9 @@ def test_pass_one_is_unchanged_by_small_batches(monkeypatch, scheme):
     whole = pass_one(g, articles, pairs, annotations, cfg)
     real = scoring._core_batch
 
-    def counting(g, costs, members, *args):
-        batches.append(len(members))
-        return real(g, costs, members, *args)
+    def counting(g, costs, members, edges, pins, pairs):
+        batches.append(pairs)
+        return real(g, costs, members, edges, pins, pairs)
 
     monkeypatch.setattr(scoring, "_core_batch", counting)
     for batch_edges, most in ((1, 2), (100, 4)):
@@ -843,9 +849,9 @@ def test_pass_one_gathers_every_core_step_in_one_call(monkeypatch, scheme):
     made, batches = [], []
     real = scoring._core_batch
 
-    def counting_batch(g, price, members, *args):
-        batches.append(len(members))
-        return real(g, price, members, *args)
+    def counting_batch(g, price, members, edges, pins, pairs):
+        batches.append(pairs)
+        return real(g, price, members, edges, pins, pairs)
 
     monkeypatch.setattr(scoring, "EdgeCosts", lambda *a: made.append(CountingCosts(*a)) or made[-1])
     monkeypatch.setattr(scoring, "_core_batch", counting_batch)
@@ -1041,3 +1047,21 @@ def test_score_csv_digests_are_pinned(synthetic_root, tmp_path, cfg, digest):
     pairs = [(r.pair_id, r.article_a, r.article_b) for r in records]
     score_sed(g, articles, pairs, annotations, cfg).write_csv(tmp_path / "sed.csv")
     assert hashlib.sha256((tmp_path / "sed.csv").read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("method, digest", [
+    ("tfidf", "b57b957f22febe56998dff7bb1b691ce40c31f282b2de291ebaa6f91b22746f9"),
+    ("embedding", "31c479b0556aaafbf1a23773e697829c83e8441afabbb7ab45c40511ca75e6a5"),
+])
+def test_baseline_score_csv_digests_are_pinned(synthetic_root, tmp_path, method, digest):
+    """The baseline columns' bytes: a TF-IDF sum taken in another term order
+    moves the last ulp of some distances, and so these digests."""
+    articles, records = load_cnrec(synthetic_root)
+    pairs = [(r.pair_id, r.article_a, r.article_b) for r in records]
+    if method == "tfidf":
+        table = score_tfidf(articles, pairs)
+    else:
+        table = import_embedding_scores(synthetic_root / "embeddings.csv",
+                                        [pid for pid, _, _ in pairs])
+    table.write_csv(tmp_path / "baseline.csv")
+    assert hashlib.sha256((tmp_path / "baseline.csv").read_bytes()).hexdigest() == digest

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -202,8 +203,14 @@ def graph_and_seed_lists(draw):
 @settings(max_examples=120, deadline=None)
 def test_batched_expansion_equals_bfs_oracle(case, radius):
     g, lists = case
-    members, edges = expand_many(g, lists, radius)
+    bounds = np.cumsum([0] + [len(s) for s in lists])
+    nodes = np.array([x for s in lists for x in s], dtype=np.int64)
+    keys_m, bounds_m, keys_e, bounds_e = expand_many(g, nodes, bounds, radius)
+    n, m = len(g), max(g.num_edges, 1)
+    members = [keys_m[a:b] - i * n for i, (a, b) in enumerate(zip(bounds_m, bounds_m[1:]))]
+    edges = [keys_e[a:b] - i * m for i, (a, b) in enumerate(zip(bounds_e, bounds_e[1:]))]
     assert len(members) == len(edges) == len(lists)
+    assert bounds_m[-1] == len(keys_m) and bounds_e[-1] == len(keys_e)
     for seeds, got_m, got_e in zip(lists, members, edges):
         want_m, want_e = expand_bfs(g, seeds, radius)
         assert got_m.tolist() == sorted(want_m)
