@@ -14,7 +14,7 @@ from collections import Counter
 from pathlib import Path
 
 from sedrec.articles import ContextWordConfig, ScreeningConfig, load_annotations
-from sedrec.evaluation import STANDARD_CONDITIONS, MetricsReport, evaluate_scores, load_cnrec
+from sedrec.evaluation import evaluate_scores, load_cnrec
 from sedrec.kg import PruneConfig, build_graph, parse_ntriples
 from sedrec.scoring import (
     PassOne,
@@ -30,16 +30,6 @@ from sedrec.scoring import (
 from sedrec.subgraph import ExpansionConfig
 from sedrec.synthetic import generate_benchmark
 from sedrec.weighting import WeightingScheme
-
-
-def print_table(title: str, report: MetricsReport, names: list[str]) -> None:
-    header = "  ".join(f"{c.label:>6}" for c in STANDARD_CONDITIONS)
-    width = max(len(name) for name in names)
-    print(f"\n== {title} (F1 %) ==")
-    print(f"{'':<{width}}  {header}")
-    for name in names:
-        print(f"{name:<{width}}  " + "  ".join(
-            f"{report.entries[name, c.label].f1 * 100:6.2f}" for c in STANDARD_CONDITIONS))
 
 
 VARIANTS_TABLE = "variants, baselines, ensembles"
@@ -117,14 +107,15 @@ def run(root: Path) -> None:
     for members in (("sed", "tfidf"), ("sed", "embedding"),
                     ("sed", "tfidf", "embedding")):
         name = "+".join(members)
-        # an ensemble decides at combined z < 0, as table_from_zscores does
+        # an ensemble decides at combined z < 0, as `sedrec evaluate --ensemble` does
         zs[name] = ensemble({m: zs["sed-sym" if m == "sed" else m] for m in members})
         decisions[name] = {p: z < 0 for p, z in zs[name].items()}
         extra.append(name)
     report = evaluate_scores(records, decisions, zs)
     for title, rows in tables:
         names = [name for name, _ in rows]
-        print_table(title, report, names + extra if title == VARIANTS_TABLE else names)
+        print(f"\n== {title} (F1 %) ==")
+        print(report.format_table(names + extra if title == VARIANTS_TABLE else names))
 
 
 def main() -> None:

@@ -49,7 +49,6 @@ from .scoring import (
     import_embedding_scores,
     score_sed,
     score_tfidf,
-    table_from_zscores,
 )
 from .subgraph import ExpansionConfig
 from .articles import ContextWordConfig, ScreeningConfig
@@ -102,6 +101,13 @@ def write_manifest(output: Path, command: str, config: dict, inputs: list) -> No
 def _items(*values: str) -> list[str]:
     """The stripped, non-empty entries of comma-separated option values."""
     return [s.strip() for v in values for s in v.split(",") if s.strip()]
+
+
+def _once_each(option: str, entries: list) -> None:
+    """Refuse an option that names an entry more than once."""
+    repeated = sorted({str(e) for e in entries if entries.count(e) > 1})
+    if repeated:
+        raise InputDataError(f"{option} names an entry more than once: {repeated}")
 
 
 def _require_file(path, what: str) -> Path:
@@ -272,6 +278,7 @@ def cmd_score(args) -> int:
             },
         }
         inputs = [corpus_root, Path(kg_path), Path(args.annotations)]
+    config["label"] = args.label
 
     table.write_csv(args.out)
     print(f"wrote {len(table.rows)} scores for method "
@@ -282,33 +289,21 @@ def cmd_score(args) -> int:
 
 # -------------------------------------------------------------- evaluate
 
-def _load_score_tables(paths) -> ScoreTable:
-    table = ScoreTable()
-    for path in paths:
-        table.merge(ScoreTable.read_csv(_require_file(path, "score file")))
-    return table
-
-
-def _with_ensemble(table: ScoreTable, spec: str | None) -> ScoreTable:
-    if not spec:
-        return table
+def _add_ensemble(decisions: dict, zs: dict, spec: str) -> None:
+    """Add the ensemble of the methods ``spec`` names as one more decision
+    and z-score column: the combined z-score, deciding at z < 0."""
     members = _items(spec)
     if len(members) < 2:
         raise InputDataError("--ensemble needs at least two method names")
-    repeated = sorted({m for m in members if members.count(m) > 1})
-    if repeated:
-        raise InputDataError(f"--ensemble names a method more than once: {repeated}")
-    missing = [m for m in members if m not in table.methods()]
+    _once_each("--ensemble", members)
+    missing = [m for m in members if m not in zs]
     if missing:
         raise InputDataError(f"--ensemble names methods no score file holds: {missing}")
-    z_cols = {m: {pid: ps.z_score for pid, ps in table.column(m).items()}
-              for m in members}
-    combined = ensemble(z_cols)
-    raw_means = {pid: sum(z_cols[m][pid] for m in members) / len(members)
-                 for pid in combined}
     label = "+".join(members)
-    table.merge(table_from_zscores(label, raw_means, combined))
-    return table
+    if label in zs:
+        raise InputDataError(f"--ensemble {label!r} is already a method of the score files")
+    zs[label] = ensemble({m: zs[m] for m in members})
+    decisions[label] = {pid: z < 0.0 for pid, z in zs[label].items()}
 
 
 def cmd_evaluate(args) -> int:
@@ -316,18 +311,24 @@ def cmd_evaluate(args) -> int:
     score_paths = _items(*args.scores)
     if not score_paths:
         raise InputDataError("at least one --scores file is required")
-    table = _load_score_tables(score_paths)
+    # GR@.5 and GR@0.5 are the same condition
+    conditions = [EvalCondition.parse(c) for c in _items(args.conditions)]
+    if not conditions:
+        raise InputDataError("--conditions names no evaluation condition")
+    _once_each("--conditions", conditions)
+    table = ScoreTable()
+    for path in score_paths:
+        table.merge(ScoreTable.read_csv(_require_file(path, "score file")))
     root = _require_file(args.cnrec, "benchmark root (--cnrec)")
     _, records = load_cnrec(root, expect_articles=args.expect_articles or None,
                             expect_pairs=args.expect_pairs or None)
-    conditions = [EvalCondition.parse(c) for c in _items(args.conditions)]
+    columns = {m: table.column(m) for m in table.methods()}
     # an ensemble z-normalizes its members, so check their pairs first
-    check_pair_sets(records, {m: table.column(m) for m in table.methods()})
-    table = _with_ensemble(table, args.ensemble)
-    decisions = {m: {pid: ps.decision for pid, ps in table.column(m).items()}
-                 for m in table.methods()}
-    zs = {m: {pid: ps.z_score for pid, ps in table.column(m).items()}
-          for m in table.methods()}
+    check_pair_sets(records, columns)
+    decisions = {m: {pid: ps.decision for pid, ps in col.items()} for m, col in columns.items()}
+    zs = {m: {pid: ps.z_score for pid, ps in col.items()} for m, col in columns.items()}
+    if args.ensemble:
+        _add_ensemble(decisions, zs, args.ensemble)
     report = evaluate_scores(records, decisions, zs, conditions)
     print(report.format_table())
     report.write_metrics_csv(args.out_metrics)

@@ -302,18 +302,15 @@ class MetricsReport:
         write_table(path, ["method", "pearson", "spearman"],
                     ([m, *self.correlations[m]] for m in sorted(self.correlations)))
 
-    def format_table(self) -> str:
-        """Side-by-side F1 table: one row per condition, one column per method."""
-        methods = sorted({m for m, _ in self.entries})
-        conds = [c.label for c in self.conditions]
-        width = max((len(m) for m in methods), default=6) + 2
-        lines = ["condition  " + "".join(f"{m:>{width}}" for m in methods)]
-        for cond in conds:
-            cells = []
-            for m in methods:
-                entry = self.entries.get((m, cond))
-                cells.append(f"{entry.f1 * 100:>{width}.2f}" if entry else " " * width)
-            lines.append(f"{cond:<11}" + "".join(cells))
+    def format_table(self, methods: Sequence[str] | None = None) -> str:
+        """F1 table in percent: one row per method (in the given order, else
+        sorted), one column per condition, wide enough for "100.00"."""
+        methods = sorted({m for m, _ in self.entries}) if methods is None else methods
+        conds = [(c.label, max(6, len(c.label))) for c in self.conditions]
+        width = max(map(len, methods), default=0)
+        lines = [" " * width + "".join(f"  {c:>{w}}" for c, w in conds)]
+        lines += [f"{m:<{width}}" + "".join(f"  {self.entries[m, c].f1 * 100:{w}.2f}"
+                                            for c, w in conds) for m in methods]
         return "\n".join(lines)
 
 

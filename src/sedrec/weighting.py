@@ -199,8 +199,8 @@ class EdgeCosts:
 
     The scalar ``cost`` is the definition that ``gather`` must equal, and it
     serves the batch-of-one calls (``scoring.distance_matrix`` and friends):
-    a table entry, or k over closed neighbourhoods memoized by
-    ``functools.lru_cache``, memoized by edge index.
+    a table entry, or k over closed neighbourhoods, where each node's closed
+    neighbourhood is memoized by ``functools.lru_cache`` and k per edge index.
     """
 
     def __init__(self, g: KnowledgeGraph, scheme: WeightingScheme):

@@ -274,6 +274,18 @@ def embedding_scores(synthetic_root, tmp_path_factory):
     return out
 
 
+@pytest.mark.parametrize("method", ["sed", "tfidf", "embedding"])
+def test_score_manifest_records_the_label(synthetic_root, snapshot, tmp_path, method):
+    out = tmp_path / "scores.csv"
+    assert main(["score", "--corpus", str(synthetic_root), "--method", method,
+                 "--kg", str(snapshot), "--annotations", str(synthetic_root / "entities.tsv"),
+                 "--embedding-file", str(synthetic_root / "embeddings.csv"),
+                 "--label", f"{method}2", "--out", str(out)]) == 0
+    assert read_scores(out).methods() == [f"{method}2"]
+    config = json.loads(Path(f"{out}.manifest.json").read_text())["config"]
+    assert config["method"] == method and config["label"] == f"{method}2"
+
+
 def test_score_tfidf_needs_no_kg(tfidf_scores):
     assert len(read_scores(tfidf_scores).column("tfidf")) == 2700
 
@@ -319,30 +331,45 @@ def test_evaluate_emits_metrics_and_correlations(
     assert (tmp_path / "metrics.csv.manifest.json").exists()
 
 
-def test_evaluate_csv_digests_are_pinned(synthetic_root, snapshot, tfidf_scores, tmp_path):
-    """``evaluate --scores sed,tfidf --ensemble sed,tfidf`` on the default
-    synthetic root, with default SED scores, writes these bytes."""
+def test_evaluate_csv_digests_are_pinned(synthetic_root, snapshot, tfidf_scores,
+                                        embedding_scores, tmp_path):
+    """``evaluate --scores sed,tfidf --ensemble sed,tfidf`` and ``--scores
+    sed,tfidf,embedding --ensemble sed,tfidf,embedding`` on the default
+    synthetic root, with default SED scores, write these bytes."""
     sed = tmp_path / "sed.csv"
     assert main(["score", "--corpus", str(synthetic_root), "--kg", str(snapshot),
                  "--annotations", str(synthetic_root / "entities.tsv"),
                  "--out", str(sed)]) == 0
-    metrics, corr = tmp_path / "metrics.csv", tmp_path / "correlations.csv"
-    assert main(["evaluate", "--scores", f"{sed},{tfidf_scores}",
-                 "--cnrec", str(synthetic_root), "--ensemble", "sed,tfidf",
-                 "--out-metrics", str(metrics), "--out-correlations", str(corr)]) == 0
-    assert hashlib.sha256(metrics.read_bytes()).hexdigest() == (
-        "2dc1e55b7630e7c3d35e5b3a4ca839af3d3e8846fe7d5eb4749ab7780c2ae554")
-    assert hashlib.sha256(corr.read_bytes()).hexdigest() == (
-        "7ad2b18e186e45fc00727500fba1e5d5201d7f32aadd629e5c21dfeb7f5e66c7")
+    for members, baselines, metrics_digest, corr_digest in [
+        ("sed,tfidf", [tfidf_scores],
+         "2dc1e55b7630e7c3d35e5b3a4ca839af3d3e8846fe7d5eb4749ab7780c2ae554",
+         "7ad2b18e186e45fc00727500fba1e5d5201d7f32aadd629e5c21dfeb7f5e66c7"),
+        ("sed,tfidf,embedding", [tfidf_scores, embedding_scores],
+         "56fcf03c57d5370958dc6ccd49d56d7905e6baa723caa0a820476b89c2b68e68",
+         "bab68593da6d3a9725a2c3ed1c051a3896ddfa94f2b6a8539900afb806ecdd50"),
+    ]:
+        metrics, corr = tmp_path / "metrics.csv", tmp_path / "correlations.csv"
+        assert main(["evaluate", "--scores", ",".join(map(str, [sed, *baselines])),
+                     "--cnrec", str(synthetic_root), "--ensemble", members,
+                     "--out-metrics", str(metrics), "--out-correlations", str(corr)]) == 0
+        assert hashlib.sha256(metrics.read_bytes()).hexdigest() == metrics_digest
+        assert hashlib.sha256(corr.read_bytes()).hexdigest() == corr_digest
 
 
 @pytest.mark.parametrize("spec, named", [("tfidf,nosuch", "nosuch"),
-                                         ("tfidf,tfidf", "tfidf")],
-                         ids=["unknown", "repeated"])
-def test_evaluate_rejects_unknown_ensemble_member(synthetic_root, tfidf_scores, capsys,
+                                         ("tfidf,tfidf", "tfidf"),
+                                         ("tfidf,embedding", "tfidf+embedding")],
+                         ids=["unknown", "repeated", "name-taken"])
+def test_evaluate_rejects_unknown_ensemble_member(synthetic_root, tfidf_scores,
+                                                  embedding_scores, tmp_path, capsys,
                                                   spec, named):
-    rc = main(["evaluate", "--scores", str(tfidf_scores),
-               "--cnrec", str(synthetic_root), "--ensemble", spec])
+    # a score file whose method holds the name the ensemble would take
+    taken = tmp_path / "taken.csv"
+    taken.write_text(tfidf_scores.read_text().replace(",tfidf,", ",tfidf+embedding,"))
+    rc = main(["evaluate", "--scores", f"{tfidf_scores},{embedding_scores},{taken}",
+               "--cnrec", str(synthetic_root), "--ensemble", spec,
+               "--out-metrics", str(tmp_path / "metrics.csv"),
+               "--out-correlations", str(tmp_path / "correlations.csv")])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and named in err
@@ -408,6 +435,21 @@ def test_evaluate_rejects_unknown_condition(synthetic_root, sed_scores, capsys):
     rc = main(["evaluate", "--scores", str(sed_scores),
                "--cnrec", str(synthetic_root), "--conditions", "bogus"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("conditions, message", [
+    (" , ", "--conditions names no evaluation condition"),
+    ("GR@.5,DR@.5,GR@0.5", "--conditions names an entry more than once: ['GR@.5']"),
+], ids=["empty", "repeated"])
+def test_evaluate_rejects_empty_or_repeated_conditions(synthetic_root, tfidf_scores, tmp_path,
+                                                       capsys, conditions, message):
+    metrics = tmp_path / "metrics.csv"
+    rc = main(["evaluate", "--scores", str(tfidf_scores), "--cnrec", str(synthetic_root),
+               "--conditions", conditions, "--out-metrics", str(metrics),
+               "--out-correlations", str(tmp_path / "correlations.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not metrics.exists()
 
 
 def test_evaluate_prints_table(synthetic_root, sed_scores, tfidf_scores, tmp_path, capsys):

@@ -274,6 +274,25 @@ def test_evaluate_scores_report(tmp_path):
     assert "GR@.5" in table and "m" in table
 
 
+def test_format_table_rows_follow_the_given_order():
+    """One row per method, in the given order, else sorted; one column per
+    condition, wide enough for "100.00" or for a longer label."""
+    records = [rec("p1", [2] * 6, [1] * 6), rec("p2", [0] * 6, [0] * 6),
+               rec("p3", [1] * 6, [1, 1, 1, 0, 0, 0])]
+    decisions = {"zz": {"p1": True, "p2": False, "p3": True},
+                 "a": {"p1": True, "p2": True, "p3": False}}
+    zs = {m: {p: -1.0 if d else 1.0 for p, d in col.items()} for m, col in decisions.items()}
+    report = evaluate_scores(records, decisions, zs,
+                             [EvalCondition("GR", 0.5), EvalCondition("DR", 0.625)])
+    assert report.format_table(["zz", "a"]).splitlines() == [
+        "     GR@.5  DR@.625",
+        "zz  100.00     0.00",
+        "a    50.00     0.00",
+    ]
+    assert report.format_table().splitlines()[1:] == ["a    50.00     0.00",
+                                                      "zz  100.00     0.00"]
+
+
 def test_evaluate_scores_rejects_missing_pairs():
     records = [rec("p1", [0] * 6, [0] * 6), rec("p2", [0] * 6, [0] * 6)]
     with pytest.raises(InputDataError, match="missing"):
